@@ -21,7 +21,7 @@ servers can negotiate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from repro.api.errors import SchemaVersionError, ValidationError
@@ -356,6 +356,15 @@ class PredictionResult:
     @property
     def feasible(self) -> bool:
         return self.metric is not None
+
+    def answering(self, query: Query) -> "PredictionResult":
+        """This result with ``query`` echoed back.
+
+        Distinct queries can share a run key (two MiniFE sizes that
+        round to one grid), so a cached answer must be re-stamped with
+        the query actually asked before it is returned.
+        """
+        return self if self.query == query else replace(self, query=query)
 
     def to_dict(self) -> dict[str, Any]:
         data: dict[str, Any] = {

@@ -190,6 +190,56 @@ def config_fingerprint(config: SystemConfig) -> dict[str, Any]:
     }
 
 
+# Key prefixes, memoized per (machine object, config object, check
+# mode): the SHA-256 state after absorbing everything a key encodes
+# before the thread count.  Keyed on the config object itself, not its
+# name — ablation configs share a name.  Configs come from make_config's
+# memo, so there are a handful; the strong references pin both ids
+# against reuse, as in _MACHINE_FINGERPRINTS.
+_KEY_PREFIXES: dict[
+    tuple[int, int, str | None], tuple[KNLMachine, SystemConfig, Any]
+] = {}
+
+
+def _canonical_json(payload: Mapping[str, Any]) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _key_prefix(
+    machine: KNLMachine, config: SystemConfig, check: str | None
+) -> Any:
+    slot = (id(machine), id(config), check)
+    entry = _KEY_PREFIXES.get(slot)
+    if entry is not None and entry[0] is machine and entry[1] is config:
+        return entry[2]
+    head: dict[str, Any] = {
+        "config": config_fingerprint(config),
+        "machine": machine_fingerprint(machine),
+    }
+    if check is not None:
+        head["check"] = str(check)
+    # Drop the closing brace: the sorted top-level keys continue with
+    # num_threads and workload.
+    prefix = _canonical_json(head)[:-1] + ',"num_threads":'
+    state = hashlib.sha256(prefix.encode("utf-8"))
+    _KEY_PREFIXES[slot] = (machine, config, state)
+    return state
+
+
+def _workload_suffix(workload: Workload) -> bytes:
+    """The encoded ``,"workload":{"name","params"}}`` tail of a key,
+    memoized on the instance under the same immutability contract as
+    :meth:`~repro.workloads.base.Workload.profile_cached`."""
+    suffix = workload.__dict__.get("_key_suffix")
+    if suffix is None:
+        fragment = _canonical_json(
+            {"name": workload.spec.name, "params": workload.params()}
+        )
+        suffix = (',"workload":' + fragment + "}").encode("utf-8")
+        workload.__dict__["_key_suffix"] = suffix
+    return suffix
+
+
 def cache_key(
     machine: KNLMachine,
     workload: Workload,
@@ -207,17 +257,18 @@ def cache_key(
     part of the key so a ``--check`` run never reuses a record that was
     produced — and cached, possibly on disk — without being audited.
     Unchecked keys are byte-identical to the historical format.
+
+    The hashed bytes are the canonical JSON (sorted keys, compact
+    separators) of ``{check?, config, machine, num_threads, workload}``.
+    Sorted, the top-level keys put the machine and config halves first,
+    so they are hashed once per (machine, config, check) and the
+    workload half encoded once per instance; each call only hashes the
+    thread count and the workload tail.
     """
-    payload = {
-        "machine": machine_fingerprint(machine),
-        "workload": {"name": workload.spec.name, "params": workload.params()},
-        "config": config_fingerprint(config),
-        "num_threads": int(num_threads),
-    }
-    if check is not None:
-        payload["check"] = str(check)
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = _key_prefix(machine, config, check).copy()
+    digest.update(str(int(num_threads)).encode("ascii"))
+    digest.update(_workload_suffix(workload))
+    return digest.hexdigest()
 
 
 # -- record (de)serialization -------------------------------------------------

@@ -116,9 +116,11 @@ class EnergyModel:
         workload's profile under the record's simulated run, which is
         how the energy report and the capacity planner
         (:mod:`repro.plan`) both consume the model.  Returns ``None``
-        for infeasible records (no run to price).
+        for infeasible records (no run to price).  The profile comes from
+        :meth:`~repro.workloads.base.Workload.profile_cached`, so pricing
+        many records of one workload builds its profile once.
         """
         run = getattr(record, "run_result", None)
         if run is None:
             return None
-        return self.estimate(workload.profile(), run)
+        return self.estimate(workload.profile_cached(), run)

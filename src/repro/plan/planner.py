@@ -3,10 +3,11 @@
 Given a declarative traffic mix and a machine pool
 (:class:`~repro.api.plan.PlanRequest`), the planner:
 
-1. **fans out** every (item, machine, config) candidate into queries
-   and evaluates them as dense per-machine batches through the
-   :class:`~repro.api.facade.Predictor`'s executors — literally the
-   :meth:`~repro.api.facade.Predictor.predict_many` path, so each
+1. **fans out** every (item, machine, config) candidate into sweep
+   cells — admitted exactly as :meth:`~repro.api.facade.Predictor.resolve`
+   would admit the matching query — and evaluates them as dense
+   per-machine batches through the
+   :class:`~repro.api.facade.Predictor`'s executors, so each
    candidate's prediction is bit-identical to a direct
    :meth:`~repro.api.facade.Predictor.predict` of the same query and
    shares the run cache and the persistent table cache (a prewarmed
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.api.errors import InfeasiblePlanError, PlanError, ValidationError
+from repro.api.errors import InfeasiblePlanError, PlanError
 from repro.api.facade import Predictor, sized_workload
 from repro.api.plan import (
     MachineLoad,
@@ -48,11 +49,14 @@ from repro.api.plan import (
     PlanRequest,
     PlanResult,
 )
-from repro.api.types import PredictionResult, Query
+from repro.core.configs import ConfigName, make_config
+from repro.core.executor import SweepCell
+from repro.core.runner import RunRecord
 from repro.engine.energy import EnergyModel, EnergyParameters
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.plan.invariants import check_plan
+from repro.runtime.simos import ensure_mode_supported
 
 __all__ = ["CapacityPlanner", "plan_request"]
 
@@ -64,24 +68,22 @@ _REL_TOL = 1e-9
 _MAX_SEARCH_ROUNDS = 256
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class _Candidate:
-    """One evaluated (item, machine, config) placement option."""
+    """One evaluated (item, machine, config) placement option.
+
+    ``machine`` and ``config`` are the canonical wire names; ``record``
+    is the feasible :class:`~repro.core.runner.RunRecord` the assignment
+    reads its prediction from.
+    """
 
     item_index: int
-    query: Query
-    result: PredictionResult
+    machine: str
+    config: str
+    record: RunRecord
     load_nodes: float
     energy_j: float
     cost: float
-
-    @property
-    def machine(self) -> str:
-        return self.query.machine
-
-    @property
-    def config(self) -> str:
-        return self.query.config
 
 
 class CapacityPlanner:
@@ -103,78 +105,73 @@ class CapacityPlanner:
 
     # -- evaluation -----------------------------------------------------------
     def _candidates(self, request: PlanRequest) -> list[list[_Candidate]]:
-        """Per-item feasible candidates, evaluated as dense per-machine
-        batches (the bit-identity path)."""
+        """Per-item feasible candidates, evaluated as one dense batch per
+        machine (the bit-identity path).
+
+        Admission mirrors :meth:`Predictor.resolve` without building a
+        query per candidate: the memory-mode check runs once per
+        (machine, config) and the thread placement once per
+        (machine, thread count).
+        """
         # Machine-independent problems (unknown workload, a size the
         # constructor rejects) are typed request errors, not "infeasible
         # everywhere" — surface them before any fan-out.
-        for item in request.mix:
-            sized_workload(item.workload, item.size_gb)
-        pending: list[tuple[int, Query]] = []
-        for index, item in enumerate(request.mix):
-            for entry in request.pool:
-                for config in entry.effective_configs():
-                    pending.append(
-                        (
-                            index,
-                            Query(
-                                workload=item.workload,
-                                size_gb=item.size_gb,
-                                config=config,
-                                num_threads=item.num_threads,
-                                machine=entry.machine,
-                            ),
-                        )
-                    )
-        kept: list[tuple[int, Query]] = []
-        cells = []
-        for index, query in pending:
-            try:
-                cell = self.predictor.resolve(query)
-            except ValidationError:
-                # Machine-dependent rejection (unsupported memory mode,
-                # thread count over the machine's limit): this machine
-                # simply offers no such candidate.
-                continue
-            kept.append((index, query))
-            cells.append(cell)
-        by_machine: dict[str, list[int]] = {}
-        for i, (_, query) in enumerate(kept):
-            by_machine.setdefault(query.machine, []).append(i)
-        candidates_flat: list[_Candidate] = []
-        for machine, indices in by_machine.items():
-            records = self.predictor.executor(machine).run_cells(
-                [cells[i] for i in indices]
-            )
-            for i, record in zip(indices, records):
-                item_index, query = kept[i]
-                result = PredictionResult.from_record(query, record)
-                if result.error is not None or result.time_ns is None:
-                    continue  # modelled infeasibility: not a candidate
-                item = request.mix[item_index]
-                load = item.weight * result.time_ns * 1e-9
-                estimate = self.energy_model.estimate_record(
-                    sized_workload(query.workload, query.size_gb), record
-                )
-                assert estimate is not None  # feasible => run_result set
-                cost = (
-                    item.weight * estimate.total_j
-                    if request.objective == "energy"
-                    else load
-                )
-                candidates_flat.append(
-                    _Candidate(
-                        item_index=item_index,
-                        query=query,
-                        result=result,
-                        load_nodes=load,
-                        energy_j=estimate.total_j,
-                        cost=cost,
-                    )
-                )
+        workloads = [
+            sized_workload(item.workload, item.size_gb) for item in request.mix
+        ]
+        energy = request.objective == "energy"
         per_item: list[list[_Candidate]] = [[] for _ in request.mix]
-        for candidate in candidates_flat:
-            per_item[candidate.item_index].append(candidate)
+        for entry in request.pool:
+            machine = self.predictor.machine(entry.machine)
+            configs = []
+            for name in entry.effective_configs():
+                config = make_config(ConfigName(name))
+                try:
+                    ensure_mode_supported(machine, config.mcdram)
+                except ValueError:
+                    continue  # this machine offers no such memory mode
+                configs.append(config)
+            placeable: dict[int, bool] = {}
+            cells: list[SweepCell] = []
+            owners: list[int] = []
+            for index, item in enumerate(request.mix):
+                threads = item.num_threads
+                ok = placeable.get(threads)
+                if ok is None:
+                    try:
+                        machine.place_threads(threads)
+                        ok = True
+                    except ValueError:
+                        ok = False  # over the machine's thread limit
+                    placeable[threads] = ok
+                if not ok:
+                    continue
+                for config in configs:
+                    cells.append(SweepCell(workloads[index], config, threads))
+                    owners.append(index)
+            if not cells:
+                continue
+            records = self.predictor.executor(entry.machine).run_cells(cells)
+            for cell, index, record in zip(cells, owners, records):
+                run = record.run_result
+                if record.infeasible_reason is not None or run is None:
+                    continue  # modelled infeasibility: not a candidate
+                item = request.mix[index]
+                load = item.weight * run.time_ns * 1e-9
+                estimate = self.energy_model.estimate_record(
+                    cell.workload, record
+                )
+                per_item[index].append(
+                    _Candidate(
+                        index,
+                        entry.machine,
+                        cell.config.name.value,
+                        record,
+                        load,
+                        estimate.total_j,
+                        item.weight * estimate.total_j if energy else load,
+                    )
+                )
         # Deterministic candidate order regardless of batch scheduling.
         for options in per_item:
             options.sort(key=lambda c: (c.cost, c.machine, c.config))
@@ -291,10 +288,10 @@ class CapacityPlanner:
                     item=request.mix[candidate.item_index],
                     machine=candidate.machine,
                     config=candidate.config,
-                    time_ns=candidate.result.time_ns,  # type: ignore[arg-type]
-                    metric=candidate.result.metric,  # type: ignore[arg-type]
-                    metric_name=candidate.result.metric_name,
-                    metric_unit=candidate.result.metric_unit,
+                    time_ns=candidate.record.run_result.time_ns,
+                    metric=candidate.record.metric,
+                    metric_name=candidate.record.metric_name,
+                    metric_unit=candidate.record.metric_unit,
                     load_nodes=candidate.load_nodes,
                     energy_j=candidate.energy_j,
                 )

@@ -321,7 +321,7 @@ class PredictionService:
             if self.cache.enabled:
                 cached = self.cache.get(key)
                 if cached is not None:
-                    results[i] = cached
+                    results[i] = cached.answering(queries[i])
                     continue
             miss_indices.append(i)
         hits = len(queries) - len(miss_indices)

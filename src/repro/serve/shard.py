@@ -350,7 +350,7 @@ class ShardRouter:
         for i, key in enumerate(keys):
             cached = self.cache.get(key) if self.cache.enabled else None
             if cached is not None:
-                results[i] = cached
+                results[i] = cached.answering(queries[i])
             else:
                 miss_indices.append(i)
         hits = len(queries) - len(miss_indices)
