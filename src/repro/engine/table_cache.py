@@ -25,7 +25,10 @@ One entry therefore covers one (machine, model version, configuration)
 and accumulates every footprint/thread/write-fraction slice ever seen:
 :meth:`TableCache.store` merges with the existing payload (read – merge –
 atomic replace), so a grid that extends a cached config space reuses the
-overlapping slices and only the new cells are computed.
+overlapping slices and only the new cells are computed.  Stores to one
+entry are serialized by an ``flock`` on a per-key ``tables-<key>.lock``
+file, which covers separate instances in one process as well as separate
+processes sharing the directory.
 
 Bit identity
 ------------
@@ -44,10 +47,14 @@ docs/OBSERVABILITY.md.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
+import tempfile
 import threading
+from collections.abc import Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -103,10 +110,10 @@ def _merge(old: dict[str, Any], new: dict[str, Any]) -> dict[str, Any]:
 class TableCache:
     """On-disk store of :meth:`ModelTables.snapshot` payloads by key.
 
-    Thread-safe; safe for concurrent processes sharing a directory
-    (atomic replace, merge-on-store, checksum-verified loads).  Lives in
-    a subdirectory of the run-result cache by default (see
-    :class:`repro.core.executor.SweepExecutor`).
+    Thread-safe; safe for concurrent instances and processes sharing a
+    directory (per-key file lock around merge-on-store, atomic replace,
+    checksum-verified loads).  Lives in a subdirectory of the run-result
+    cache by default (see :class:`repro.core.executor.SweepExecutor`).
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -154,16 +161,28 @@ class TableCache:
             obs_metrics.add("tables.cache_hits")
             return payload
 
+    @contextlib.contextmanager
+    def _key_lock(self, key: str) -> Iterator[None]:
+        """Exclusive ``flock`` on the entry's lock file.
+
+        flock belongs to the open file description, so two instances in
+        one process exclude each other just as two processes do.
+        Closing the file releases the lock.
+        """
+        with open(self.directory / f"tables-{key}.lock", "a") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            yield
+
     def store(self, key: str, payload: dict[str, Any]) -> None:
         """Merge ``payload`` into the entry for ``key`` and persist it.
 
-        Read – merge – atomic replace: an entry only ever grows, so an
-        extending grid's slices accumulate and concurrent writers cannot
-        clobber each other's footprints (last merge sees both files'
-        union of its own read).
+        Read – merge – atomic replace, all under the entry's file lock:
+        an entry only ever grows, and no writer sharing the directory can
+        drop a slice another writer stored.  Readers never wait; the
+        replace is atomic, so they see the old or the new file whole.
         """
         path = self._path(key)
-        with self._lock, obs_trace.span("tables.store"):
+        with self._lock, obs_trace.span("tables.store"), self._key_lock(key):
             try:
                 existing = self._decode(path.read_text())
             except OSError:
@@ -171,9 +190,17 @@ class TableCache:
             if existing is not None:
                 payload = _merge(existing, payload)
             wrapper = {"checksum": _checksum(payload), "payload": payload}
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            tmp.write_text(json.dumps(wrapper))
-            os.replace(tmp, path)
+            fd, tmp = tempfile.mkstemp(
+                dir=self.directory, prefix=f"{path.name}.", suffix=".tmp"
+            )
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(json.dumps(wrapper))
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
             self.stores += 1
             obs_metrics.add("tables.cache_stores")
 

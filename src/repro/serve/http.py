@@ -130,7 +130,7 @@ class HttpServer:
                 await self._write_response(
                     writer,
                     400,
-                    _error_envelope("validation", str(exc)),
+                    error_envelope("validation", str(exc)),
                     keep_alive=False,
                 )
             except (ConnectionResetError, BrokenPipeError):
@@ -195,7 +195,7 @@ class HttpServer:
             payload = error_envelope(exc)
         except Exception as exc:  # pragma: no cover - defensive
             status = 500
-            payload = _error_envelope("internal", f"{type(exc).__name__}: {exc}")
+            payload = error_envelope("internal", f"{type(exc).__name__}: {exc}")
         self.service.metrics.observe(
             "serve.request_ms",
             (time.perf_counter() - started) * 1e3,
@@ -211,12 +211,12 @@ class HttpServer:
     ) -> tuple[int, dict[str, Any]]:
         if endpoint == "/healthz":
             if method != "GET":
-                return 405, _error_envelope("validation", "use GET /healthz")
+                return 405, error_envelope("validation", "use GET /healthz")
             health = self.service.healthz()
             return (200 if self.service.running else 503), health
         if endpoint == "/metrics":
             if method != "GET":
-                return 405, _error_envelope("validation", "use GET /metrics")
+                return 405, error_envelope("validation", "use GET /metrics")
             snapshot = self.service.metrics_snapshot()
             # The shard router's snapshot scatters to its replicas off
             # the event loop, so it is a coroutine; the plain service
@@ -226,11 +226,11 @@ class HttpServer:
             return 200, snapshot
         if endpoint == "/version":
             if method != "GET":
-                return 405, _error_envelope("validation", "use GET /version")
+                return 405, error_envelope("validation", "use GET /version")
             return 200, self.service.version()
         if endpoint == "/v1/predict":
             if method != "POST":
-                return 405, _error_envelope(
+                return 405, error_envelope(
                     "validation", "use POST /v1/predict"
                 )
             try:
@@ -240,13 +240,13 @@ class HttpServer:
             return 200, await self.service.handle_predict(payload)
         if endpoint == "/v1/plan":
             if method != "POST":
-                return 405, _error_envelope("validation", "use POST /v1/plan")
+                return 405, error_envelope("validation", "use POST /v1/plan")
             try:
                 payload = json.loads(body.decode("utf-8")) if body else {}
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ValidationError(f"request body is not JSON: {exc}") from exc
             return 200, await self.service.handle_plan(payload)
-        return 404, _error_envelope("not_found", f"no route {endpoint!r}")
+        return 404, error_envelope("not_found", f"no route {endpoint!r}")
 
     # -- responses --------------------------------------------------------------
     async def _write_response(
@@ -281,8 +281,3 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
-
-
-def _error_envelope(code: str, message: str) -> dict[str, Any]:
-    # Thin shim kept for callers predating repro.api.envelope.
-    return error_envelope(code, message)

@@ -160,6 +160,16 @@ class TestCompareConfigs:
             oracle = ExperimentRunner().run(workload, make_config(config), 64)
             assert record.metric == oracle.metric
 
+    def test_plain_runner_matches_per_config_loop(self):
+        workload = FROM_GB["xsbench"](2.5)
+        runner = ExperimentRunner()
+        records = compare_configs(workload, num_threads=64, runner=runner)
+        loop = [
+            runner.run(workload, make_config(c), 64)
+            for c in ConfigName.paper_trio()
+        ]
+        assert records == loop
+
 
 class TestExecutorTableThreadSafety:
     """The cross-thread stats contract: ``stats()`` (the /metrics

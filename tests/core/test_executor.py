@@ -227,7 +227,7 @@ class TestStatsConsistencyAcrossStrategies:
     serially, on a thread pool or across a process pool — `--jobs N`
     hit rates are directly comparable."""
 
-    def _run_batches(self, machine, strategy):
+    def _execute_batches(self, machine, strategy):
         with SweepExecutor(
             ExperimentRunner(machine), jobs=4, strategy=strategy
         ) as executor:
@@ -238,11 +238,11 @@ class TestStatsConsistencyAcrossStrategies:
 
     @pytest.fixture(scope="class")
     def serial_stats(self, machine):
-        return self._run_batches(machine, "serial")
+        return self._execute_batches(machine, "serial")
 
     @pytest.mark.parametrize("strategy", ["threads", "processes"])
     def test_identical_to_serial(self, machine, serial_stats, strategy):
-        stats = self._run_batches(machine, strategy)
+        stats = self._execute_batches(machine, strategy)
         assert (
             stats.hits,
             stats.misses,

@@ -7,7 +7,7 @@ dataclasses (every PhaseResult float, every infeasible reason) across:
 * every registry workload x the paper trio x the thread ladder,
   including the infeasible cells (HBM > 16 GB, DGEMM at 256 threads);
 * fine-grained dict placements and the ablation configs (HYBRID,
-  INTERLEAVE) through ``ModelTables.run_batch``;
+  INTERLEAVE) through ``ModelTables.evaluate_batch``;
 * the executor's transparent batch path vs a forced scalar loop.
 
 Observability in batch mode accounts in aggregate (one span, summed
@@ -113,7 +113,8 @@ class TestGoldenEquivalence:
 
 
 class TestRunBatch:
-    """ModelTables.run_batch vs PerformanceModel.run (fine-grained API)."""
+    """ModelTables.evaluate_batch vs PerformanceModel.evaluate (fine-grained
+    API)."""
 
     @pytest.mark.parametrize(
         "mcdram",
@@ -142,9 +143,9 @@ class TestRunBatch:
             for location in locations
             for threads in THREAD_LADDER
         ]
-        batch = tables.run_batch(requests)
+        batch = tables.evaluate_batch(requests)
         for (p, mix, threads), got in zip(requests, batch):
-            assert got == model.run(p, mix, threads)
+            assert got == model.evaluate(p, mix, threads)
 
     def test_split_and_dict_mixes_match(self):
         machine = knl7210()
@@ -164,9 +165,9 @@ class TestRunBatch:
             (profile, per_phase, 64),
             (profile, split, 256),
         ]
-        batch = tables.run_batch(requests)
+        batch = tables.evaluate_batch(requests)
         for (p, mix, threads), got in zip(requests, batch):
-            assert got == model.run(p, mix, threads)
+            assert got == model.evaluate(p, mix, threads)
 
     def test_missing_phase_raises_like_scalar(self):
         machine = knl7210()
@@ -176,9 +177,9 @@ class TestRunBatch:
         profile = FROM_GB["minife"](7.2).profile()
         partial = {profile.phases[0].name: PlacementMix.pure(Location.DRAM)}
         with pytest.raises(ValueError) as batch_err:
-            tables.run_batch([(profile, partial, 64)])
+            tables.evaluate_batch([(profile, partial, 64)])
         with pytest.raises(ValueError) as scalar_err:
-            model.run(profile, partial, 64)
+            model.evaluate(profile, partial, 64)
         assert str(batch_err.value) == str(scalar_err.value)
 
 
@@ -335,13 +336,13 @@ class TestObserveMany:
 
 
 class TestScalarReferenceFill:
-    """``vectorized=False`` retains the scalar fill path as a live twin.
+    """The scalar model is the oracle of the columnar table fills.
 
-    Both fill modes populate the same memo dictionaries; the vectorized
-    bulk fills must leave *identical* table contents (the exact floats
-    ``snapshot()`` would persist) and answer every request with the same
-    records.  This is the in-repo proof that the columnar construction
-    is a pure perf change, independent of the end-to-end identity tests
+    Every memo entry the bulk ``*_many`` fills leave behind (the exact
+    floats ``snapshot()`` would persist) must equal the scalar method it
+    memoizes, and every request must answer with the scalar model's own
+    record.  This is the in-repo proof that the columnar construction is
+    a pure perf change, independent of the end-to-end identity tests
     above.
     """
 
@@ -353,8 +354,7 @@ class TestScalarReferenceFill:
     def test_memos_and_outputs_identical(self, mcdram):
         machine = knl7210()
         memory = MemorySystem(mcdram)
-        vectorized = ModelTables(machine, memory, vectorized=True)
-        reference = ModelTables(machine, memory, vectorized=False)
+        tables = ModelTables(machine, memory)
         profiles = [
             FROM_GB[name](size).profile()
             for name in ("minife", "gups")
@@ -370,9 +370,69 @@ class TestScalarReferenceFill:
             for location in locations
             for threads in (1, 64, 256)
         ]
-        assert vectorized.run_batch(requests) == reference.run_batch(requests)
-        assert vectorized.entry_count() == reference.entry_count()
-        assert vectorized.snapshot() == reference.snapshot()
+        # Metrics on, so the observe-path memos (TLB, MCDRAM-cache hit
+        # rates) are filled too.
+        obs_metrics.install()
+        try:
+            results = tables.evaluate_batch(requests)
+        finally:
+            obs_metrics.uninstall()
+
+        oracle = PerformanceModel(machine, memory)
+        assert results == [oracle.evaluate(*request) for request in requests]
+
+        memos = [
+            (
+                tables._seq_lat[loc],
+                lambda f, loc=loc: oracle.sequential_latency_ns(loc, f),
+            )
+            for loc in locations
+        ] + [
+            (
+                tables._rand_lat[loc],
+                lambda f, loc=loc: oracle.random_latency_ns(loc, f),
+            )
+            for loc in locations
+        ] + [
+            (
+                memo,
+                lambda k, loc=loc, wf=wf: oracle.sequential_bandwidth(
+                    loc, k >> 3, k & 7, wf
+                ),
+            )
+            for (loc, wf), memo in tables._seq_cap.items()
+        ] + [
+            (
+                memo,
+                lambda f, loc=loc, wf=wf: oracle.random_capacity_lines(loc, f, wf),
+            )
+            for (loc, wf), memo in tables._rand_cap.items()
+        ] + [
+            (tables._tlb_l1, oracle.tlb.l1_miss_rate),
+            (tables._tlb_l2, oracle.tlb.l2_miss_rate),
+            (tables._tlb_depth, oracle.tlb.walk_depth),
+        ]
+        cache = memory.cache_model
+        if cache is not None:
+            memos += [
+                (memo, lambda f, pattern=pattern: cache.hit_rate(f, pattern))
+                for pattern, memo in tables._hit_rate.items()
+            ] + [
+                (
+                    tables._cap_hit,
+                    lambda f: 1.0
+                    if cache.footprint_ratio(f) <= 1.0
+                    else 1.0 / cache.footprint_ratio(f),
+                ),
+            ]
+            assert tables._hit_rate and tables._cap_hit
+        checked = 0
+        for memo, scalar in memos:
+            assert memo
+            for key, value in memo.items():
+                assert value == scalar(key), key
+                checked += 1
+        assert checked == tables.entry_count()
 
     def test_snapshot_prefill_round_trip_is_exact(self):
         machine = knl7210()
@@ -383,7 +443,7 @@ class TestScalarReferenceFill:
             (profile, PlacementMix.pure(Location.DRAM_CACHED), threads)
             for threads in (1, 64, 256)
         ]
-        expected = built.run_batch(requests)
+        expected = built.evaluate_batch(requests)
         # Through the JSON wire format, like the persistent cache does.
         import json
 
@@ -391,4 +451,4 @@ class TestScalarReferenceFill:
         loaded = ModelTables(machine, memory)
         loaded.prefill(payload)
         assert loaded.snapshot() == built.snapshot()
-        assert loaded.run_batch(requests) == expected
+        assert loaded.evaluate_batch(requests) == expected

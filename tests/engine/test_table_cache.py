@@ -17,12 +17,20 @@ These tests pin:
 * bit-identical records from cache-warmed, cache-populating, and
   uncached evaluators alike; and
 * the :class:`~repro.core.executor.SweepExecutor` wiring (``cache_dir``
-  defaulting, ``REPRO_TABLE_CACHE``, stats surface).
+  defaulting, ``REPRO_TABLE_CACHE``, stats surface); and
+* concurrent writers — instances on threads and in other processes
+  sharing one directory never raise and never lose a stored slice.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -272,3 +280,112 @@ class TestExecutorWiring:
         assert ex is not None
         assert ex.table_cache is not None
         assert ex.table_cache.directory == tmp_path
+
+
+#: One writer's stores: ``SLICES`` distinct slices of ``ENTRIES`` floats
+#: each, large enough that read – merge – replace cycles overlap.
+SLICES, ENTRIES = 8, 500
+
+
+def _slice(writer: str, index: int) -> dict:
+    return {
+        "slices": {
+            f"{writer}-{index}": {
+                str(j): float(j) + index / 8 for j in range(ENTRIES)
+            }
+        }
+    }
+
+
+_CHILD = """
+import pathlib, sys, time
+sys.path.insert(0, sys.argv[1])
+from repro.engine.table_cache import TableCache
+sys.path.insert(0, sys.argv[2])
+from test_table_cache import SLICES, _slice
+directory, writer, go = sys.argv[3], sys.argv[4], pathlib.Path(sys.argv[5])
+cache = TableCache(directory)
+go.with_name(f"ready-{writer}").touch()
+while not go.exists():
+    time.sleep(0.001)
+for index in range(SLICES):
+    cache.store("shared", _slice(writer, index))
+"""
+
+
+class TestConcurrentWriters:
+    """Separate ``TableCache`` instances on one directory — replicas in
+    one process (a thread-backend shard deployment sharing its table
+    cache) and separate processes — must serialize their read – merge –
+    replace cycles: no store raises, the entry ends up holding every
+    slice, and no temporary file is left behind."""
+
+    def test_threads_and_processes_keep_every_slice(self, tmp_path):
+        directory = tmp_path / "tables"
+        go = tmp_path / "go"
+        src = pathlib.Path(table_cache_module.__file__).resolve().parents[2]
+        here = pathlib.Path(__file__).resolve().parent
+        children = [
+            subprocess.Popen(
+                [
+                    sys.executable,
+                    "-c",
+                    _CHILD,
+                    str(src),
+                    str(here),
+                    str(directory),
+                    f"proc{n}",
+                    str(go),
+                ],
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            for n in range(2)
+        ]
+        caches = [TableCache(directory) for _ in range(4)]
+        errors: list[Exception] = []
+        barrier = threading.Barrier(len(caches))
+
+        def write(n: int) -> None:
+            try:
+                barrier.wait()
+                for index in range(SLICES):
+                    caches[n].store("shared", _slice(f"thread{n}", index))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=write, args=(n,)) for n in range(len(caches))
+        ]
+        interval = sys.getswitchinterval()
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(tmp_path.glob("ready-*"))) < len(children):
+                assert time.monotonic() < deadline, "writer processes never started"
+                time.sleep(0.01)
+            sys.setswitchinterval(1e-5)
+            go.touch()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            codes = [child.wait(timeout=120) for child in children]
+        finally:
+            sys.setswitchinterval(interval)
+            for child in children:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait()
+
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert codes == [0, 0]
+        payload = TableCache(directory).load("shared")
+        writers = [f"thread{n}" for n in range(4)] + ["proc0", "proc1"]
+        expected = {
+            f"{writer}-{index}" for writer in writers for index in range(SLICES)
+        }
+        assert set(payload["slices"]) == expected
+        for name, entries in payload["slices"].items():
+            index = int(name.rsplit("-", 1)[1])
+            assert entries == _slice("x", index)["slices"][f"x-{index}"]
+        assert list(directory.glob("*.tmp")) == []
