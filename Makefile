@@ -6,7 +6,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 export PYTHONPATH
 
-.PHONY: install test test-fast bench bench-engine bench-serve bench-serve-shard bench-plan serve-shard serve-smoke plan-smoke warmup machine-zoo report examples docs-check check clean
+.PHONY: install test test-fast bench bench-engine bench-serve bench-serve-shard bench-plan serve-shard serve-shard-smoke serve-smoke plan-smoke warmup machine-zoo report examples docs-check check clean
 
 install:
 	pip install -e .
@@ -63,6 +63,13 @@ bench-plan:
 # paths.
 serve-shard:
 	pytest tests/serve/ -q
+
+# CI smoke for the sharded deployment: 3 process replicas behind a
+# prewarmed shared table cache, a reduced closed-loop load, one replica
+# killed mid-run; >= 90% success, bit-identity, health view
+# (tools/serve_shard_smoke.py).
+serve-shard-smoke:
+	python tools/serve_shard_smoke.py
 
 # CI smoke for the prediction service: 200 concurrent queries, p99
 # bound, bit-identity and invariant audit (tools/serve_smoke.py).

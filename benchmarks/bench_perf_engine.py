@@ -26,7 +26,11 @@ loaded, the scalar memos being lost — still does.
 
 import pathlib
 
-from repro.core.perfbench import measure_engine, write_bench_json
+from repro.core.perfbench import (
+    engine_history_row,
+    measure_engine,
+    write_bench_json,
+)
 from repro.machine import registry
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -48,7 +52,11 @@ EVENTSIM_SPEEDUP_FLOOR = 2.0
 
 def test_engine_throughput(benchmark, record_text):
     result = benchmark.pedantic(measure_engine, rounds=1, iterations=1)
-    write_bench_json(result, REPO_ROOT / "BENCH_engine.json")
+    write_bench_json(
+        result.as_dict(),
+        REPO_ROOT / "BENCH_engine.json",
+        engine_history_row(result),
+    )
     record_text("engine_throughput", result.describe())
     print(result.describe())
 

@@ -811,7 +811,8 @@ def _run_plan(args: argparse.Namespace) -> int:
 def _bench_serve_sharded(args: argparse.Namespace) -> int:
     """Benchmark the sharded deployment and merge a ``sharded`` section
     into the serve benchmark document (baseline sections are kept)."""
-    from repro.serve.loadgen import measure_serve_sharded, write_bench_json
+    from repro.core.perfbench import write_bench_json
+    from repro.serve.loadgen import measure_serve_sharded, sharded_history_row
 
     counts = [1]
     while counts[-1] * 2 < args.replicas:
@@ -832,7 +833,7 @@ def _bench_serve_sharded(args: argparse.Namespace) -> int:
         with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
     document["sharded"] = sharded
-    path = write_bench_json(document, path)
+    path = write_bench_json(document, path, sharded_history_row(sharded))
     scaling = sharded["scaling"]
     for n in counts:
         phase = sharded["overload"][str(n)]
@@ -926,14 +927,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_plan(args)
     if command == "bench":
         if args.target == "plan":
-            from repro.plan.bench import measure_plan
-            from repro.serve.loadgen import write_bench_json
+            from repro.core.perfbench import write_bench_json
+            from repro.plan.bench import measure_plan, plan_history_row
 
             document = measure_plan(
                 tuple(args.fleet_sizes),
                 table_cache_dir=_table_cache_dir(args),
             )
-            path = write_bench_json(document, args.out or "BENCH_plan.json")
+            path = write_bench_json(
+                document,
+                args.out or "BENCH_plan.json",
+                plan_history_row(document),
+            )
             for size in args.fleet_sizes:
                 row = document["planner"]["details"][str(size)]
                 print(
@@ -946,7 +951,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.target == "serve" and args.replicas > 1:
             return _bench_serve_sharded(args)
         if args.target == "serve":
-            from repro.serve.loadgen import measure_serve, write_bench_json
+            from repro.core.perfbench import write_bench_json
+            from repro.serve.loadgen import measure_serve, serve_history_row
 
             document = measure_serve(
                 clients=args.clients if args.clients is not None else 64,
@@ -955,12 +961,14 @@ def _dispatch(args: argparse.Namespace) -> int:
                 repeats=args.repeats,
             )
             path = write_bench_json(
-                document, args.out or "BENCH_serve.json"
+                document,
+                args.out or "BENCH_serve.json",
+                serve_history_row(document),
             )
             for phase in ("coalesced", "hot_cache", "naive"):
                 stats = document[phase]
                 print(
-                    f"{phase:<10} {stats['throughput_rps']:8.1f} rps  "
+                    f"{phase:<10} {stats['goodput_rps']:8.1f} rps  "
                     f"p50 {stats['p50_ms']:.2f} ms  "
                     f"p99 {stats['p99_ms']:.2f} ms"
                 )
@@ -971,10 +979,18 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
             print(f"[bench] wrote {path}", file=sys.stderr)
             return 0
-        from repro.core.perfbench import measure_engine, write_bench_json
+        from repro.core.perfbench import (
+            engine_history_row,
+            measure_engine,
+            write_bench_json,
+        )
 
         result = measure_engine(args.points, machine=_machine(args))
-        path = write_bench_json(result, args.out or "BENCH_engine.json")
+        path = write_bench_json(
+            result.as_dict(),
+            args.out or "BENCH_engine.json",
+            engine_history_row(result),
+        )
         print(result.describe())
         print(f"[bench] wrote {path}", file=sys.stderr)
         return 0

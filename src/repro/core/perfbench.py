@@ -37,6 +37,7 @@ import pathlib
 import tempfile
 import time
 from dataclasses import dataclass
+from typing import Any, Mapping
 
 from repro.core.configs import ConfigName, SystemConfig, make_config
 from repro.core.runner import ExperimentRunner
@@ -117,6 +118,7 @@ class EngineBenchResult:
         return self.eventsim_reference_seconds / self.eventsim_optimized_seconds
 
     def as_dict(self) -> dict:
+        """The ``BENCH_engine.json`` document (history aside)."""
         return {
             "grid_points": self.grid_points,
             "scalar": {
@@ -143,6 +145,7 @@ class EngineBenchResult:
                 "optimized_seconds": self.eventsim_optimized_seconds,
                 "speedup": self.eventsim_speedup,
             },
+            "recalibration": RECALIBRATION_NOTE,
         }
 
     def describe(self) -> str:
@@ -293,9 +296,9 @@ def measure_engine(
 #: scalar per-point baseline dropped ~12x (closed-form mesh coherence
 #: timing, memoized machine/placement/profile/hit-rate chains), which
 #: *compresses* every batch-over-scalar ratio: the batch engine did not
-#: get slower — the yardstick got faster.  The note rides along in
-#: ``BENCH_engine.json`` so the trajectory stays comparable across the
-#: break; regenerations preserve any note already present in the file.
+#: get slower — the yardstick got faster.  Every ``BENCH_engine.json``
+#: carries this note (see :meth:`EngineBenchResult.as_dict`) so the
+#: trajectory stays comparable across the break.
 RECALIBRATION_NOTE = {
     "date": "2026-08-08",
     "reason": (
@@ -315,10 +318,9 @@ RECALIBRATION_NOTE = {
 }
 
 
-def _history_entry(result: EngineBenchResult) -> dict:
-    """Compact trajectory row appended to the ``history`` list."""
+def engine_history_row(result: EngineBenchResult) -> dict:
+    """``BENCH_engine.json``'s trajectory row for one measurement."""
     return {
-        "at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "scalar_us_per_point": round(result.scalar_us_per_point, 3),
         "batch_hot_us_per_point": round(result.batch_hot_us_per_point, 4),
         "speedup_cold": round(result.speedup_cold, 2),
@@ -329,34 +331,26 @@ def _history_entry(result: EngineBenchResult) -> dict:
 
 
 def write_bench_json(
-    result: EngineBenchResult,
-    path: "str | pathlib.Path" = "BENCH_engine.json",
+    document: Mapping[str, Any],
+    path: "str | pathlib.Path",
+    row: Mapping[str, Any],
 ) -> pathlib.Path:
-    """Serialize one measurement to the perf-trajectory file.
+    """Write a BENCH_*.json document, accumulating its ``history``.
 
-    The headline numbers are replaced each run, but two keys accumulate
-    across regenerations instead of being overwritten: ``history`` (one
-    compact timestamped row per ``make bench``) and ``recalibration``
-    (the note explaining the 2026-08 scalar-baseline break, carried over
-    from the existing file when present).
+    The headline ``document`` replaces the file's contents, but the
+    ``history`` list already in the file is carried forward unchanged
+    and ``row`` — the bench's compact trajectory row, stamped with an
+    ``at`` UTC timestamp — is appended to it.  An unreadable file starts
+    a fresh history.
     """
     out = pathlib.Path(path)
-    history: list = []
-    recalibration = RECALIBRATION_NOTE
-    if out.exists():
-        try:
-            previous = json.loads(out.read_text())
-        except (OSError, ValueError):
-            previous = {}
-        carried = previous.get("history")
-        if isinstance(carried, list):
-            history = carried
-        noted = previous.get("recalibration")
-        if isinstance(noted, dict):
-            recalibration = noted
-    history.append(_history_entry(result))
-    payload = result.as_dict()
-    payload["recalibration"] = recalibration
-    payload["history"] = history
+    try:
+        history = json.loads(out.read_text()).get("history")
+    except (OSError, ValueError, AttributeError):
+        history = None
+    if not isinstance(history, list):
+        history = []
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    payload = {**document, "history": [*history, {"at": stamp, **row}]}
     out.write_text(json.dumps(payload, indent=2) + "\n")
     return out

@@ -3,8 +3,10 @@
 Measures how long :class:`~repro.plan.planner.CapacityPlanner` takes to
 solve deterministic synthetic fleets of growing size (default 10, 100
 and 1000 mix items) and records the curve into ``BENCH_plan.json``
-through the same history-carrying writer the serve benchmarks use, so
-re-runs accumulate a trajectory instead of overwriting it.
+through the one history-carrying writer
+(:func:`repro.core.perfbench.write_bench_json`) with
+:func:`plan_history_row`, so re-runs accumulate a trajectory instead of
+overwriting it.
 
 Honesty rules:
 
@@ -28,7 +30,12 @@ from repro.api.facade import Predictor
 from repro.api.plan import PlanRequest, PoolEntry, TrafficItem
 from repro.plan.planner import CapacityPlanner
 
-__all__ = ["DEFAULT_FLEET_SIZES", "synthetic_request", "measure_plan"]
+__all__ = [
+    "DEFAULT_FLEET_SIZES",
+    "synthetic_request",
+    "measure_plan",
+    "plan_history_row",
+]
 
 DEFAULT_FLEET_SIZES = (10, 100, 1000)
 
@@ -140,3 +147,9 @@ def measure_plan(
             "sum(configs per pool entry)."
         ),
     }
+
+
+def plan_history_row(document: dict[str, Any]) -> dict[str, Any]:
+    """``BENCH_plan.json``'s trajectory row, from a :func:`measure_plan`
+    document."""
+    return {"plan_latency_ms": dict(document["planner"]["latency_ms"])}

@@ -33,12 +33,7 @@ from repro.serve.client import ServeClient
 from repro.serve.coalescer import Coalescer
 from repro.serve.faults import FaultError, FaultInjector
 from repro.serve.http import DEFAULT_PORT, HttpServer
-from repro.serve.loadgen import (
-    measure_serve,
-    measure_serve_sharded,
-    run_smoke,
-    write_bench_json,
-)
+from repro.serve.loadgen import measure_serve, measure_serve_sharded, run_smoke
 from repro.serve.registry import ReplicaInfo, ReplicaSet, ReplicaState
 from repro.serve.ring import DEFAULT_VNODES, HashRing, stable_point
 from repro.serve.service import PredictionService, ServiceConfig
@@ -64,7 +59,6 @@ __all__ = [
     "measure_serve",
     "measure_serve_sharded",
     "run_smoke",
-    "write_bench_json",
     "HashRing",
     "DEFAULT_VNODES",
     "stable_point",

@@ -15,13 +15,20 @@ double the client-side cost per call, which matters for the closed-loop
 benchmark driving thousands of requests.  A dropped keep-alive socket
 is retried transparently once.  One client drives one connection — use
 one client per thread.
+
+A response that does not parse — a bad status line or
+``Content-Length``, a body that is not a JSON object, a missing or
+wrong-sized ``results`` list, a missing ``plan`` — raises a plain
+:class:`~repro.api.errors.ApiError` (code ``internal``): it is the
+server's fault, never the caller's, so the shard router fails over on it
+instead of blaming the request.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from repro.api.errors import ApiError, ValidationError, error_from_info
 from repro.api.plan import PlanRequest, PlanResult
@@ -34,9 +41,20 @@ from repro.api.types import (
     QueryGrid,
 )
 
+T = TypeVar("T")
+
 __all__ = ["ServeClient"]
 
 _MAX_HEADER_BYTES = 64 * 1024
+
+
+def _parse(build: Callable[[Any], T], data: Any, what: str) -> T:
+    """``build(data)``, with any decode failure reported as a malformed
+    response (a typed error of the *request* would blame the caller)."""
+    try:
+        return build(data)
+    except (ApiError, TypeError, ValueError, KeyError) as exc:
+        raise ApiError(f"malformed {what} in response: {exc}") from exc
 
 
 class ServeClient:
@@ -108,7 +126,11 @@ class ServeClient:
         if not status_line:
             raise ConnectionError("server closed the connection")
         parts = status_line.split(None, 2)
-        if len(parts) < 2 or not parts[0].startswith(b"HTTP/1."):
+        if (
+            len(parts) < 2
+            or not parts[0].startswith(b"HTTP/1.")
+            or not parts[1].isdigit()
+        ):
             raise ApiError(f"malformed status line {status_line!r}")
         status = int(parts[1])
         length = 0
@@ -118,7 +140,10 @@ class ServeClient:
                 break
             name, sep, value = line.partition(b":")
             if sep and name.strip().lower() == b"content-length":
-                length = int(value.strip())
+                value = value.strip()
+                if not value.isdigit():
+                    raise ApiError(f"malformed Content-Length {value!r}")
+                length = int(value)
         body = self._reader.read(length) if length else b""
         if length and len(body) != length:
             raise ConnectionError("server closed mid-body")
@@ -152,10 +177,11 @@ class ServeClient:
             try:
                 status, raw = self._round_trip(request)
                 break
-            except socket.timeout:
+            except (socket.timeout, ApiError):
                 # A timeout is the server being slow, not the socket
                 # being stale — retrying would double the wait against a
                 # stalled replica; let the caller's failover policy act.
+                # A malformed response leaves the stream unframed.
                 self.close()
                 raise
             except (ConnectionError, OSError):
@@ -178,9 +204,11 @@ class ServeClient:
     ) -> dict[str, Any]:
         """A round trip that raises the typed error for error envelopes."""
         status, decoded = self.request(method, path, payload)
-        error = decoded.get("error") if isinstance(decoded, Mapping) else None
+        if not isinstance(decoded, Mapping):
+            raise ApiError(f"malformed response from {path}: not a JSON object")
+        error = decoded.get("error")
         if error is not None:
-            raise error_from_info(ErrorInfo.from_dict(error))
+            raise error_from_info(_parse(ErrorInfo.from_dict, error, "error"))
         if status >= 400:
             raise ApiError(f"HTTP {status} from {path} without error envelope")
         return decoded
@@ -200,36 +228,39 @@ class ServeClient:
 
     # -- prediction --------------------------------------------------------------
     def _predict_call(
-        self, payload: dict[str, Any], deadline_s: float | None
+        self, payload: dict[str, Any], deadline_s: float | None, expected: int
     ) -> list[PredictionResult]:
         payload["schema_version"] = self.schema_version
         if deadline_s is not None:
             payload["deadline_s"] = deadline_s
         envelope = self._call("POST", "/v1/predict", payload)
         results = envelope.get("results")
-        if not isinstance(results, list):
-            raise ValidationError("response envelope missing 'results'")
-        return [PredictionResult.from_dict(r) for r in results]
+        if not isinstance(results, list) or len(results) != expected:
+            raise ApiError(
+                f"malformed response: expected {expected} results, got "
+                f"{len(results) if isinstance(results, list) else 'none'}"
+            )
+        return [_parse(PredictionResult.from_dict, r, "result") for r in results]
 
     def predict(
         self, query: Query, *, deadline_s: float | None = None
     ) -> PredictionResult:
         """Answer one query."""
-        return self._predict_call({"query": query.to_dict()}, deadline_s)[0]
+        return self._predict_call({"query": query.to_dict()}, deadline_s, 1)[0]
 
     def predict_many(
         self, queries: Sequence[Query], *, deadline_s: float | None = None
     ) -> list[PredictionResult]:
         """Answer a list of queries (results in submission order)."""
         return self._predict_call(
-            {"queries": [q.to_dict() for q in queries]}, deadline_s
+            {"queries": [q.to_dict() for q in queries]}, deadline_s, len(queries)
         )
 
     def predict_grid(
         self, grid: QueryGrid, *, deadline_s: float | None = None
     ) -> list[PredictionResult]:
         """Answer a dense grid (workload-major order)."""
-        return self._predict_call({"grid": grid.to_dict()}, deadline_s)
+        return self._predict_call({"grid": grid.to_dict()}, deadline_s, len(grid))
 
     # -- planning ----------------------------------------------------------------
     def plan(
@@ -243,7 +274,4 @@ class ServeClient:
         if deadline_s is not None:
             payload["deadline_s"] = deadline_s
         envelope = self._call("POST", "/v1/plan", payload)
-        plan = envelope.get("plan")
-        if not isinstance(plan, Mapping):
-            raise ValidationError("response envelope missing 'plan'")
-        return PlanResult.from_dict(plan)
+        return _parse(PlanResult.from_dict, envelope.get("plan"), "plan")

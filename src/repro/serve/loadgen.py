@@ -25,6 +25,13 @@ key-disjoint slice of the same generator.  Clients are keep-alive
 threads in this process, one connection each, released together by a
 barrier.
 
+One closed-loop driver, :func:`run_closed_loop`, runs every phase —
+single-service and sharded alike.  Each client slot gets its own client
+and a send function (:func:`service_slots` sends through
+:meth:`~repro.serve.client.ServeClient.predict`, :func:`shard_slots`
+through :meth:`~repro.serve.shard.ShardClient.predict`); the driver owns
+the barrier, per-request latency, 429 backoff and the accounting.
+
 Every phase's responses are checked bit-identical against direct scalar
 :mod:`repro.api` evaluation (and, in the smoke harness, against a
 :class:`~repro.checks.checker.CheckingRunner` in ``raise`` mode), which
@@ -34,29 +41,34 @@ work happens, never the answer.
 
 from __future__ import annotations
 
-import json
+import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
+from repro.api.errors import ApiError, CapacityError
 from repro.api.facade import Predictor
 from repro.api.types import PredictionResult, Query
 from repro.serve.client import ServeClient
+from repro.serve.registry import ReplicaSet
 from repro.serve.service import ServiceConfig
+from repro.serve.shard import ShardClient, ShardConfig, ShardDeployment
 from repro.serve.threadserver import ServerThread
 
 __all__ = [
-    "LoadPhase",
-    "ShardPhase",
+    "PhaseRecord",
     "build_query_pool",
     "build_keyed_pool",
-    "run_phase",
-    "run_shard_phase",
+    "run_closed_loop",
+    "service_slots",
+    "shard_slots",
+    "verify_identity",
     "measure_serve",
     "measure_serve_sharded",
     "run_smoke",
-    "write_bench_json",
+    "serve_history_row",
+    "sharded_history_row",
 ]
 
 #: (workload, base size) profile basis — few profiles, shared by many
@@ -75,27 +87,51 @@ _POOL_CONFIGS = ("DRAM", "HBM", "Cache Mode", "Interleave")
 _POOL_THREADS = tuple(range(8, 257, 8))
 _POOL_CYCLE = len(_POOL_BASIS) * len(_POOL_CONFIGS) * len(_POOL_THREADS)
 
+#: ``(connect, send)``: how each :func:`run_closed_loop` slot builds its
+#: client and answers one item with it.
+Slots = tuple[Callable[[], Any], Callable[[Any, Any], PredictionResult]]
+
 
 @dataclass(frozen=True)
-class LoadPhase:
-    """Measured outcome of one load phase."""
+class PhaseRecord:
+    """Measured outcome of one closed-loop phase.
+
+    The headline number is **goodput** — successfully answered requests
+    per second of wall clock — because a phase may run the target *into
+    overload*: clients that draw a 429 back off and retry until their
+    request deadline, so a deployment whose admission capacity is below
+    the offered concurrency spends wall clock in reject/backoff churn
+    that goodput (unlike raw request throughput) refuses to count.
+    """
 
     name: str
-    requests: int
-    errors: int
+    concurrency: int
+    offered: int
+    succeeded: int
+    failed: int
+    #: 429-driven re-submissions (each is one extra round trip).
+    retries: int
     seconds: float
-    throughput_rps: float
+    goodput_rps: float
     p50_ms: float
     p99_ms: float
     max_ms: float
 
+    @property
+    def success_rate(self) -> float:
+        return self.succeeded / self.offered if self.offered else 0.0
+
     def as_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,
-            "requests": self.requests,
-            "errors": self.errors,
+            "concurrency": self.concurrency,
+            "offered": self.offered,
+            "succeeded": self.succeeded,
+            "failed": self.failed,
+            "retries": self.retries,
             "seconds": self.seconds,
-            "throughput_rps": self.throughput_rps,
+            "goodput_rps": self.goodput_rps,
+            "success_rate": self.success_rate,
             "p50_ms": self.p50_ms,
             "p99_ms": self.p99_ms,
             "max_ms": self.max_ms,
@@ -103,8 +139,9 @@ class LoadPhase:
 
     def describe(self) -> str:
         return (
-            f"{self.name}: {self.requests} requests in {self.seconds:.2f}s "
-            f"= {self.throughput_rps:.0f} rps "
+            f"{self.name}: {self.succeeded}/{self.offered} ok "
+            f"(+{self.retries} retries) in {self.seconds:.2f}s = "
+            f"{self.goodput_rps:.0f} rps goodput "
             f"(p50 {self.p50_ms:.1f} ms, p99 {self.p99_ms:.1f} ms)"
         )
 
@@ -169,52 +206,91 @@ def build_query_pool(
     return [query for query, _ in build_keyed_pool(count, predictor=predictor)]
 
 
-def _partition(queries: Sequence[Query], clients: int) -> list[list[Query]]:
-    """Deal queries round-robin over ``clients`` slots."""
-    partitions: list[list[Query]] = [[] for _ in range(clients)]
-    for i, query in enumerate(queries):
-        partitions[i % clients].append(query)
+def _partition(items: Sequence[Any], clients: int) -> list[list[Any]]:
+    """Deal items round-robin over ``clients`` slots (empty slots are
+    dropped)."""
+    partitions: list[list[Any]] = [[] for _ in range(clients)]
+    for i, item in enumerate(items):
+        partitions[i % clients].append(item)
     return [p for p in partitions if p]
 
 
-def run_phase(
+def run_closed_loop(
     name: str,
-    host: str,
-    port: int,
-    partitions: Sequence[Sequence[Query]],
+    partitions: Sequence[Sequence[Any]],
+    connect: Callable[[], Any],
+    send: Callable[[Any, Any], PredictionResult],
     *,
-    deadline_s: float = 120.0,
-) -> tuple[LoadPhase, list[PredictionResult]]:
+    request_deadline_s: float = 120.0,
+    backoff_base_s: float = 0.05,
+    backoff_cap_s: float = 0.8,
+) -> tuple[PhaseRecord, list[PredictionResult]]:
     """One closed loop: one client thread per partition, one request per
-    query.  Threads connect first, then a barrier releases them all.
+    item.
 
-    Returns the phase summary plus every response (thread-major, in
+    Each thread builds its client with ``connect()`` (a context manager),
+    then a barrier releases them all; ``send(client, item)`` answers one
+    item.  A 429 (:class:`~repro.api.errors.CapacityError`) is retried
+    with jittered exponential backoff until success or
+    ``request_deadline_s``; any other typed or transport error fails the
+    request.  A slot whose ``connect()`` fails counts all its items as
+    failed and still releases the barrier, so a phase always ends with
+    ``offered == succeeded + failed``.  Latency is measured per request,
+    retries included — the closed-loop cost a caller pays.
+
+    Returns the phase record plus every response (thread-major, in
     request order) for identity verification.
     """
     barrier = threading.Barrier(len(partitions) + 1)
     latencies_ms: list[list[float]] = [[] for _ in partitions]
     responses: list[list[PredictionResult]] = [[] for _ in partitions]
-    errors = [0] * len(partitions)
+    failed = [0] * len(partitions)
+    retries = [0] * len(partitions)
 
-    def client_loop(slot: int, queries: Sequence[Query]) -> None:
-        with ServeClient(host, port, timeout=deadline_s + 30.0) as client:
-            client.healthz()  # establish the keep-alive connection
+    def client_loop(slot: int, items: Sequence[Any]) -> None:
+        rng = random.Random(0xC0FFEE + slot)  # deterministic jitter
+        client = None
+        try:
+            client = connect()
+        except (ApiError, OSError):
+            failed[slot] = len(items)
+        finally:
             barrier.wait()
-            for query in queries:
+        if client is None:
+            return
+        with client:
+            for item in items:
                 started = time.perf_counter()
-                try:
-                    result = client.predict(query, deadline_s=deadline_s)
-                except Exception:
-                    errors[slot] += 1
-                    continue
-                latencies_ms[slot].append((time.perf_counter() - started) * 1e3)
-                responses[slot].append(result)
+                give_up_at = time.monotonic() + request_deadline_s
+                attempt = 0
+                while True:
+                    try:
+                        result = send(client, item)
+                    except CapacityError:
+                        if time.monotonic() >= give_up_at:
+                            failed[slot] += 1
+                            break
+                        retries[slot] += 1
+                        pause = min(
+                            backoff_cap_s, backoff_base_s * (2.0 ** attempt)
+                        ) * (0.5 + rng.random())
+                        attempt += 1
+                        time.sleep(pause)
+                        continue
+                    except (ApiError, OSError):
+                        failed[slot] += 1
+                        break
+                    latencies_ms[slot].append(
+                        (time.perf_counter() - started) * 1e3
+                    )
+                    responses[slot].append(result)
+                    break
 
     threads = [
         threading.Thread(
-            target=client_loop, args=(i, partition), name=f"loadgen-{i}"
+            target=client_loop, args=(i, items), name=f"loadgen-{i}"
         )
-        for i, partition in enumerate(partitions)
+        for i, items in enumerate(partitions)
     ]
     for thread in threads:
         thread.start()
@@ -224,13 +300,15 @@ def run_phase(
         thread.join()
     seconds = time.perf_counter() - started
     flat = sorted(lat for bucket in latencies_ms for lat in bucket)
-    requests = sum(len(p) for p in partitions)
-    phase = LoadPhase(
+    phase = PhaseRecord(
         name=name,
-        requests=requests,
-        errors=sum(errors),
+        concurrency=len(partitions),
+        offered=sum(len(p) for p in partitions),
+        succeeded=len(flat),
+        failed=sum(failed),
+        retries=sum(retries),
         seconds=seconds,
-        throughput_rps=requests / seconds if seconds else 0.0,
+        goodput_rps=len(flat) / seconds if seconds else 0.0,
         p50_ms=_percentile(flat, 0.50),
         p99_ms=_percentile(flat, 0.99),
         max_ms=flat[-1] if flat else 0.0,
@@ -238,12 +316,57 @@ def run_phase(
     return phase, [r for bucket in responses for r in bucket]
 
 
+def service_slots(
+    host: str, port: int, *, deadline_s: float = 120.0
+) -> Slots:
+    """``(connect, send)`` for :func:`run_closed_loop` against one
+    service: a keep-alive :class:`ServeClient` per slot, one query per
+    request."""
+
+    def connect() -> ServeClient:
+        client = ServeClient(host, port, timeout=deadline_s + 30.0)
+        client.healthz()  # establish the keep-alive connection
+        return client
+
+    def send(client: ServeClient, query: Query) -> PredictionResult:
+        return client.predict(query, deadline_s=deadline_s)
+
+    return connect, send
+
+
+def shard_slots(
+    replicas: ReplicaSet,
+    *,
+    deadline_s: float = 60.0,
+    timeout_s: float = 90.0,
+    max_attempts: int = 4,
+) -> Slots:
+    """``(connect, send)`` for :func:`run_closed_loop` against a sharded
+    fleet: each slot routes its ``(query, run_key)`` items client-side
+    (:class:`~repro.serve.shard.ShardClient` over the deployment's live
+    replica set, so routing and failover see health transitions
+    mid-phase)."""
+
+    def connect() -> ShardClient:
+        return ShardClient(
+            replicas, timeout=timeout_s, max_attempts=max_attempts
+        )
+
+    def send(client: ShardClient, item: tuple[Query, str]) -> PredictionResult:
+        query, key = item
+        return client.predict(query, key=key, deadline_s=deadline_s)
+
+    return connect, send
+
+
 def _warmup(host: str, port: int, queries: Sequence[Query], clients: int) -> None:
     """Boot profiles and per-thread model tables on the target server."""
-    run_phase("warmup", host, port, _partition(queries, clients))
+    run_closed_loop(
+        "warmup", _partition(queries, clients), *service_slots(host, port)
+    )
 
 
-def _verify_identity(
+def verify_identity(
     responses: Sequence[PredictionResult], sample: int
 ) -> dict[str, Any]:
     """Served results vs direct scalar facade evaluation, bit for bit."""
@@ -263,8 +386,8 @@ def _verify_identity(
     }
 
 
-def _best(phases: Sequence[LoadPhase]) -> LoadPhase:
-    return max(phases, key=lambda p: p.throughput_rps)
+def _best(phases: Sequence[PhaseRecord]) -> PhaseRecord:
+    return max(phases, key=lambda p: p.goodput_rps)
 
 
 def measure_serve(
@@ -310,36 +433,36 @@ def measure_serve(
     )
 
     responses: list[PredictionResult] = []
-    coalesced_runs: list[LoadPhase] = []
-    hot_runs: list[LoadPhase] = []
-    naive_runs: list[LoadPhase] = []
+    coalesced_runs: list[PhaseRecord] = []
+    hot_runs: list[PhaseRecord] = []
+    naive_runs: list[PhaseRecord] = []
     with ServerThread(coalesced_config) as server:
+        slots = service_slots(server.host, server.port)
         _warmup(server.host, server.port, warmup, clients)
         for partitions in partition_sets:
-            phase, run_responses = run_phase(
-                "coalesced", server.host, server.port, partitions
+            phase, run_responses = run_closed_loop(
+                "coalesced", partitions, *slots
             )
             coalesced_runs.append(phase)
             responses.extend(run_responses)
         for _ in range(repeats):  # repeated keys: served from the TTL cache
-            phase, run_responses = run_phase(
-                "hot_cache", server.host, server.port, partition_sets[-1]
+            phase, run_responses = run_closed_loop(
+                "hot_cache", partition_sets[-1], *slots
             )
             hot_runs.append(phase)
         responses.extend(run_responses)
         snapshot = server.service.metrics_snapshot()
     with ServerThread(naive_config) as server:
+        slots = service_slots(server.host, server.port)
         _warmup(server.host, server.port, warmup, clients)
         for partitions in partition_sets:
-            phase, _ = run_phase(
-                "naive", server.host, server.port, partitions
-            )
+            phase, _ = run_closed_loop("naive", partitions, *slots)
             naive_runs.append(phase)
 
     coalesced, hot, naive = _best(coalesced_runs), _best(hot_runs), _best(naive_runs)
     batches = snapshot["coalescer"]["batches"]
     batched = snapshot["coalescer"]["batched_queries"]
-    identity = _verify_identity(responses, identity_sample)
+    identity = verify_identity(responses, identity_sample)
     return {
         "concurrency": clients,
         "requests_per_client": requests_per_client,
@@ -351,17 +474,15 @@ def measure_serve(
         "coalesced": coalesced.as_dict(),
         "hot_cache": hot.as_dict(),
         "naive": naive.as_dict(),
-        "coalesced_runs_rps": [round(p.throughput_rps, 1) for p in coalesced_runs],
-        "naive_runs_rps": [round(p.throughput_rps, 1) for p in naive_runs],
+        "coalesced_runs_rps": [round(p.goodput_rps, 1) for p in coalesced_runs],
+        "naive_runs_rps": [round(p.goodput_rps, 1) for p in naive_runs],
         "speedup_coalesced_vs_naive": (
-            coalesced.throughput_rps / naive.throughput_rps
-            if naive.throughput_rps
+            coalesced.goodput_rps / naive.goodput_rps
+            if naive.goodput_rps
             else 0.0
         ),
         "speedup_hot_vs_naive": (
-            hot.throughput_rps / naive.throughput_rps
-            if naive.throughput_rps
-            else 0.0
+            hot.goodput_rps / naive.goodput_rps if naive.goodput_rps else 0.0
         ),
         "coalescing": {
             "batches": batches,
@@ -383,8 +504,9 @@ def run_smoke(
     """The CI smoke: boot, drive concurrent queries, bound p99, audit
     served results against the invariant checker.
 
-    Raises ``AssertionError`` on any failure (errors, p99 over bound,
-    non-identical results, invariant violations).
+    Raises ``AssertionError`` on any failure (failed or retried
+    requests, p99 over bound, non-identical results, invariant
+    violations).
     """
     from repro.api.facade import sized_workload
     from repro.checks.checker import CheckingRunner
@@ -393,16 +515,20 @@ def run_smoke(
     total = clients * requests_per_client
     pool = build_query_pool(total)
     with ServerThread(ServiceConfig(workers=workers)) as server:
-        phase, responses = run_phase(
-            "smoke", server.host, server.port, _partition(pool, clients)
+        phase, responses = run_closed_loop(
+            "smoke",
+            _partition(pool, clients),
+            *service_slots(server.host, server.port),
         )
         health = server.service.healthz()
-    assert phase.errors == 0, f"{phase.errors} failed requests"
-    assert phase.requests == total, f"served {phase.requests}/{total}"
+    assert phase.failed == 0, f"{phase.failed} failed requests"
+    # A 429 is retried by the driver, so it would not show as a failure.
+    assert phase.retries == 0, f"{phase.retries} requests drew a 429"
+    assert phase.succeeded == total, f"served {phase.succeeded}/{total}"
     assert (
         phase.p99_ms <= p99_bound_ms
     ), f"p99 {phase.p99_ms:.0f} ms over bound {p99_bound_ms:.0f} ms"
-    identity = _verify_identity(responses, check_sample)
+    identity = verify_identity(responses, check_sample)
     assert identity["bit_identical"], f"identity mismatches: {identity}"
     # Invariant audit: re-evaluate a sample under CheckingRunner(raise) —
     # it throws on any violated invariant — and pin the served metric to
@@ -433,166 +559,6 @@ def run_smoke(
 
 
 # -- sharded deployment benchmark ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardPhase:
-    """Measured outcome of one sharded closed-loop phase.
-
-    The headline number is **goodput** — successfully answered requests
-    per second of wall clock — because the sharded benchmark runs the
-    fleet *into overload*: clients that draw a 429 back off and retry
-    until their request deadline, so a deployment whose admission
-    capacity is below the offered concurrency spends wall clock in
-    reject/backoff churn that goodput (unlike raw request throughput)
-    refuses to count.
-    """
-
-    name: str
-    replicas: int
-    concurrency: int
-    offered: int
-    succeeded: int
-    failed: int
-    #: 429-driven re-submissions (each is one extra round trip).
-    retries: int
-    seconds: float
-    goodput_rps: float
-    p50_ms: float
-    p99_ms: float
-    max_ms: float
-
-    @property
-    def success_rate(self) -> float:
-        return self.succeeded / self.offered if self.offered else 0.0
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "replicas": self.replicas,
-            "concurrency": self.concurrency,
-            "offered": self.offered,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-            "retries": self.retries,
-            "seconds": self.seconds,
-            "goodput_rps": self.goodput_rps,
-            "success_rate": self.success_rate,
-            "p50_ms": self.p50_ms,
-            "p99_ms": self.p99_ms,
-            "max_ms": self.max_ms,
-        }
-
-    def describe(self) -> str:
-        return (
-            f"{self.name} x{self.replicas}: {self.succeeded}/{self.offered} "
-            f"ok (+{self.retries} retries) in {self.seconds:.2f}s = "
-            f"{self.goodput_rps:.0f} rps goodput "
-            f"(p50 {self.p50_ms:.1f} ms, p99 {self.p99_ms:.1f} ms)"
-        )
-
-
-def run_shard_phase(
-    name: str,
-    replicas: "Any",
-    partitions: Sequence[Sequence[tuple[Query, str]]],
-    *,
-    deadline_s: float = 60.0,
-    request_deadline_s: float = 120.0,
-    backoff_base_s: float = 0.05,
-    backoff_cap_s: float = 0.8,
-    max_attempts: int = 4,
-    timeout_s: float = 90.0,
-) -> tuple[ShardPhase, list[PredictionResult]]:
-    """One sharded closed loop: each client thread routes its keyed
-    queries client-side (:class:`~repro.serve.shard.ShardClient` over a
-    shared :class:`~repro.serve.registry.ReplicaSet`), retrying 429s
-    with jittered exponential backoff until success or
-    ``request_deadline_s``.
-
-    ``replicas`` is the deployment's live replica set, so routing and
-    failover see health transitions mid-phase.  Latency is measured per
-    *request* including retries — the closed-loop cost a caller pays.
-    """
-    import random
-
-    from repro.api.errors import ApiError, CapacityError
-    from repro.serve.shard import ShardClient
-
-    barrier = threading.Barrier(len(partitions) + 1)
-    latencies_ms: list[list[float]] = [[] for _ in partitions]
-    responses: list[list[PredictionResult]] = [[] for _ in partitions]
-    succeeded = [0] * len(partitions)
-    failed = [0] * len(partitions)
-    retries = [0] * len(partitions)
-
-    def client_loop(slot: int, pairs: Sequence[tuple[Query, str]]) -> None:
-        rng = random.Random(0xC0FFEE + slot)  # deterministic jitter
-        with ShardClient(
-            replicas, timeout=timeout_s, max_attempts=max_attempts
-        ) as client:
-            barrier.wait()
-            for query, key in pairs:
-                started = time.perf_counter()
-                give_up_at = time.monotonic() + request_deadline_s
-                attempt = 0
-                while True:
-                    try:
-                        result = client.predict(
-                            query, key=key, deadline_s=deadline_s
-                        )
-                    except CapacityError:
-                        if time.monotonic() >= give_up_at:
-                            failed[slot] += 1
-                            break
-                        retries[slot] += 1
-                        pause = min(
-                            backoff_cap_s, backoff_base_s * (2.0 ** attempt)
-                        ) * (0.5 + rng.random())
-                        attempt += 1
-                        time.sleep(pause)
-                        continue
-                    except (ApiError, OSError):
-                        failed[slot] += 1
-                        break
-                    succeeded[slot] += 1
-                    latencies_ms[slot].append(
-                        (time.perf_counter() - started) * 1e3
-                    )
-                    responses[slot].append(result)
-                    break
-
-    threads = [
-        threading.Thread(
-            target=client_loop, args=(i, pairs), name=f"shardgen-{i}"
-        )
-        for i, pairs in enumerate(partitions)
-    ]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    started = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    seconds = time.perf_counter() - started
-    flat = sorted(lat for bucket in latencies_ms for lat in bucket)
-    offered = sum(len(p) for p in partitions)
-    ok = sum(succeeded)
-    phase = ShardPhase(
-        name=name,
-        replicas=len(replicas.routable_ids()),
-        concurrency=len(partitions),
-        offered=offered,
-        succeeded=ok,
-        failed=sum(failed),
-        retries=sum(retries),
-        seconds=seconds,
-        goodput_rps=ok / seconds if seconds else 0.0,
-        p50_ms=_percentile(flat, 0.50),
-        p99_ms=_percentile(flat, 0.99),
-        max_ms=flat[-1] if flat else 0.0,
-    )
-    return phase, [r for bucket in responses for r in bucket]
 
 
 def measure_serve_sharded(
@@ -644,22 +610,21 @@ def measure_serve_sharded(
     import tempfile
 
     from repro.cluster.multinode import scaling_efficiency
-    from repro.serve.shard import ShardConfig, ShardDeployment
 
     if not replica_counts:
         raise ValueError("replica_counts must be non-empty")
     total = concurrency * requests_per_client
     predictor = Predictor(machine=machine)
     pool = build_keyed_pool(total, predictor=predictor)
-    partitions: list[list[tuple[Query, str]]] = [
-        [] for _ in range(concurrency)
-    ]
-    for i, pair in enumerate(pool):
-        partitions[i % concurrency].append(pair)
-    partitions = [p for p in partitions if p]
+    partitions = _partition(pool, concurrency)
 
-    overload: dict[int, ShardPhase] = {}
-    hot: dict[int, ShardPhase] = {}
+    backoff = dict(
+        request_deadline_s=request_deadline_s,
+        backoff_base_s=backoff_base_s,
+        backoff_cap_s=backoff_cap_s,
+    )
+    overload: dict[int, PhaseRecord] = {}
+    hot: dict[int, PhaseRecord] = {}
     identity: dict[str, Any] = {}
     with tempfile.TemporaryDirectory(prefix="repro-bench-tables-") as tables:
         service = ServiceConfig(
@@ -681,26 +646,15 @@ def measure_serve_sharded(
             )
             deployment = ShardDeployment(config)
             with deployment:
-                phase, responses = run_shard_phase(
-                    "overload",
-                    deployment.replicas,
-                    partitions,
-                    backoff_base_s=backoff_base_s,
-                    backoff_cap_s=backoff_cap_s,
-                    request_deadline_s=request_deadline_s,
+                slots = shard_slots(deployment.replicas)
+                overload[count], responses = run_closed_loop(
+                    "overload", partitions, *slots, **backoff
                 )
-                overload[count] = phase
-                hot_phase, _ = run_shard_phase(
-                    "hot_cache",
-                    deployment.replicas,
-                    partitions,
-                    backoff_base_s=backoff_base_s,
-                    backoff_cap_s=backoff_cap_s,
-                    request_deadline_s=request_deadline_s,
+                hot[count], _ = run_closed_loop(
+                    "hot_cache", partitions, *slots, **backoff
                 )
-                hot[count] = hot_phase
                 if count == max(replica_counts):
-                    identity = _verify_identity(responses, identity_sample)
+                    identity = verify_identity(responses, identity_sample)
 
     goodput = {n: p.goodput_rps for n, p in overload.items()}
     base_n = min(goodput)
@@ -753,58 +707,27 @@ def measure_serve_sharded(
     }
 
 
-def _bench_history_entry(document: dict[str, Any]) -> dict[str, Any]:
-    """Compact trajectory row for the serve benchmark's ``history`` list.
-
-    Picks whichever headline numbers the document carries — the
-    single-replica bench reports coalesced/naive phase throughputs, the
-    sharded bench a goodput-scaling curve — so one history schema serves
-    both ``bench serve`` and ``bench serve --sharded``.
-    """
-    entry: dict[str, Any] = {
-        "at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+def serve_history_row(document: dict[str, Any]) -> dict[str, Any]:
+    """``bench serve``'s trajectory row, from a :func:`measure_serve`
+    document."""
+    return {
+        key: document[key]
+        for key in (
+            "speedup_coalesced_vs_naive",
+            "speedup_hot_vs_naive",
+            "concurrency",
+        )
     }
-    for key in (
-        "speedup_coalesced_vs_naive",
-        "speedup_hot_vs_naive",
-        "backend",
-        "concurrency",
-    ):
-        if key in document and not isinstance(document[key], dict):
-            entry[key] = document[key]
-    scaling = document.get("scaling")
-    if isinstance(scaling, dict):
-        for key in ("goodput_rps", "speedup_vs_min", "parallel_efficiency"):
-            if key in scaling:
-                entry[key] = scaling[key]
-    planner = document.get("planner")
-    if isinstance(planner, dict):
-        latency = planner.get("latency_ms")
-        if isinstance(latency, dict):
-            entry["plan_latency_ms"] = dict(latency)
-    return entry
 
 
-def write_bench_json(document: dict[str, Any], path: str) -> str:
-    """Write a bench document, accumulating a ``history`` list.
-
-    Each regeneration replaces the headline document but appends one
-    compact timestamped row to ``history`` carried over from the
-    existing file, so the trajectory across runs is preserved in-band.
-    """
-    history: list[Any] = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            previous = json.load(handle)
-        carried = previous.get("history")
-        if isinstance(carried, list):
-            history = carried
-    except (OSError, ValueError):
-        history = []
-    history.append(_bench_history_entry(document))
-    document = dict(document)
-    document["history"] = history
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    return path
+def sharded_history_row(sharded: dict[str, Any]) -> dict[str, Any]:
+    """``bench serve --replicas N``'s trajectory row, from a
+    :func:`measure_serve_sharded` document."""
+    scaling = sharded["scaling"]
+    return {
+        "backend": sharded["backend"],
+        "concurrency": sharded["concurrency"],
+        "goodput_rps": scaling["goodput_rps"],
+        "speedup_vs_min": scaling["speedup_vs_min"],
+        "parallel_efficiency": scaling["parallel_efficiency"],
+    }

@@ -263,8 +263,10 @@ class PredictionService:
             return [Query.from_dict(q) for q in entries]
         return list(QueryGrid.from_dict(payload["grid"]).expand())
 
-    def _deadline_s(self, payload: Mapping[str, Any]) -> float:
-        value = payload.get("deadline_s", self.config.default_deadline_s)
+    @staticmethod
+    def parse_deadline(payload: Mapping[str, Any], default_s: float) -> float:
+        """The request's ``deadline_s`` (``default_s`` when absent)."""
+        value = payload.get("deadline_s", default_s)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"deadline_s must be a number, got {value!r}")
         if value <= 0:
@@ -275,7 +277,9 @@ class PredictionService:
         """Answer one ``/v1/predict`` body with the versioned envelope."""
         started = time.perf_counter()
         queries = self.parse_queries(payload)
-        deadline_s = self._deadline_s(payload)
+        deadline_s = self.parse_deadline(
+            payload, self.config.default_deadline_s
+        )
         if len(queries) > self.config.max_request_queries:
             self.metrics.add("serve.rejected")
             raise CapacityError(
@@ -393,7 +397,9 @@ class PredictionService:
         """Answer one ``/v1/plan`` body with the versioned envelope."""
         started = time.perf_counter()
         request = self.parse_plan(payload)
-        deadline_s = self._deadline_s(payload)
+        deadline_s = self.parse_deadline(
+            payload, self.config.default_deadline_s
+        )
         if self._state != "running":
             raise CapacityError(f"service is {self._state}")
         assert self._pool is not None

@@ -63,7 +63,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import repro
 from repro.api.envelope import success_envelope
@@ -77,14 +77,13 @@ from repro.api.errors import (
     ValidationError,
 )
 from repro.api.facade import Predictor
-from repro.api.plan import PlanRequest, PlanResult
 from repro.api.types import PredictionResult, Query
 from repro.obs.metrics import MetricsRegistry, merge_exports
 from repro.serve.cache import TTLCache
 from repro.serve.client import ServeClient
 from repro.serve.faults import FaultInjector
 from repro.serve.registry import ReplicaSet
-from repro.serve.ring import DEFAULT_VNODES
+from repro.serve.ring import DEFAULT_VNODES, HashRing
 from repro.serve.service import PredictionService, ServiceConfig
 from repro.serve.threadserver import ServerThread
 
@@ -96,6 +95,8 @@ __all__ = [
     "ThreadReplica",
     "ProcessReplica",
 ]
+
+T = TypeVar("T")
 
 #: Errors that are properties of the *request* (or of the global
 #: deadline), not of the replica that reported them — retrying them on
@@ -176,6 +177,113 @@ class ShardConfig:
             )
 
 
+class _ReplicaConnections:
+    """One thread's keep-alive connections to the fleet's replicas, and
+    the one failover loop that spends them.
+
+    Connections are keyed by replica generation, so a restarted replica
+    never inherits a socket to its dead twin.  Not thread-safe: the
+    router keeps one per pool thread, a :class:`ShardClient` owns one.
+    """
+
+    def __init__(self, replicas: ReplicaSet, *, timeout: float) -> None:
+        self.replicas = replicas
+        self.timeout = timeout
+        self._clients: dict[str, tuple[int, ServeClient]] = {}
+
+    def get(self, replica_id: str) -> ServeClient:
+        generation = self.replicas.generation(replica_id)  # KeyError if gone
+        entry = self._clients.get(replica_id)
+        if entry is None or entry[0] != generation:
+            if entry is not None:
+                entry[1].close()
+            host, port = self.replicas.address(replica_id)
+            entry = (generation, ServeClient(host, port, timeout=self.timeout))
+            self._clients[replica_id] = entry
+        return entry[1]
+
+    def drop(self, replica_id: str) -> None:
+        entry = self._clients.pop(replica_id, None)
+        if entry is not None:
+            entry[1].close()
+
+    def close(self) -> None:
+        for _, client in list(self._clients.values()):
+            client.close()
+        self._clients.clear()
+
+    def failover(
+        self,
+        preferences: Sequence[str],
+        call: Callable[..., T],
+        argument: Any,
+        *,
+        deadline_at: float | None,
+        attempt_timeout_s: float | None,
+        metrics: MetricsRegistry | None = None,
+    ) -> T:
+        """``call(client, argument, deadline_s=...)`` on the first
+        replica in ``preferences`` that answers (see the module docstring
+        for the error classes).
+
+        Each attempt gets the time left until ``deadline_at`` (``None``:
+        the replica's default deadline), capped at ``attempt_timeout_s``
+        on the socket.  ``metrics`` receives the router's counters.
+        """
+        count = metrics.add if metrics is not None else _no_count
+        last_error: Exception | None = None
+        for replica_id in preferences:
+            budget, remaining = attempt_timeout_s, None
+            if deadline_at is not None:
+                remaining = deadline_at - time.monotonic()
+                if remaining <= 0:
+                    break
+                budget = remaining if budget is None else min(budget, remaining)
+            try:
+                client = self.get(replica_id)
+            except KeyError:  # deregistered while we routed
+                continue
+            if budget is not None:
+                client.set_timeout(budget + 0.5)
+            try:
+                answer = call(client, argument, deadline_s=remaining)
+            except _FATAL_ERRORS:
+                raise
+            except CapacityError as exc:
+                # Alive but full (or draining): spill to the successor
+                # without a health penalty.
+                last_error = exc
+                count("router.replica_busy", labels={"replica": replica_id})
+                continue
+            except (OSError, ApiError) as exc:
+                # Transport death or a poisoned answer: charge the
+                # replica and fail over.
+                last_error = exc
+                self.drop(replica_id)
+                self.replicas.mark_failure(replica_id)
+                count("router.failovers", labels={"replica": replica_id})
+                continue
+            self.replicas.mark_success(replica_id)
+            count("router.forwards", labels={"replica": replica_id})
+            return answer
+        if deadline_at is not None and time.monotonic() >= deadline_at:
+            count("router.deadline_exceeded")
+            raise DeadlineExceededError(
+                "deadline exceeded while failing over "
+                f"(tried {list(preferences)})",
+            ) from last_error
+        if isinstance(last_error, ApiError):
+            raise last_error
+        count("router.rejected")
+        raise CapacityError(
+            f"no replica answered (tried {list(preferences)})",
+        ) from last_error
+
+
+def _no_count(*args: Any, **kwargs: Any) -> None:
+    """Metrics sink for failover outside the router."""
+
+
 class ShardRouter:
     """Routing front end with the PredictionService protocol surface.
 
@@ -198,8 +306,8 @@ class ShardRouter:
         self._pool: ThreadPoolExecutor | None = None
         self._probe_task: asyncio.Task[None] | None = None
         self._tls = threading.local()
-        self._all_clients: list[ServeClient] = []
-        self._clients_lock = threading.Lock()
+        self._all_connections: list[_ReplicaConnections] = []
+        self._connections_lock = threading.Lock()
         self._state = "created"
         self._started_monotonic: float | None = None
 
@@ -252,10 +360,10 @@ class ShardRouter:
                 None, lambda: pool.shutdown(wait=drain)
             )
             self._pool = None
-        with self._clients_lock:
-            clients, self._all_clients = self._all_clients, []
-        for client in clients:
-            client.close()
+        with self._connections_lock:
+            connections, self._all_connections = self._all_connections, []
+        for per_thread in connections:
+            per_thread.close()
         self._state = "stopped"
 
     # -- health probing ---------------------------------------------------------
@@ -288,52 +396,14 @@ class ShardRouter:
         except Exception:
             return False
 
-    # -- per-thread replica clients ---------------------------------------------
-    def _client(self, replica_id: str) -> ServeClient:
-        """This pool thread's client to ``replica_id`` (generation-keyed
-        so a restarted replica never inherits a socket to its dead
-        twin)."""
-        cache: dict[str, tuple[int, ServeClient]] | None = getattr(
-            self._tls, "clients", None
-        )
-        if cache is None:
-            cache = self._tls.clients = {}
-        generation = self.replicas.generation(replica_id)  # KeyError if gone
-        entry = cache.get(replica_id)
-        if entry is None or entry[0] != generation:
-            if entry is not None:
-                entry[1].close()
-            host, port = self.replicas.address(replica_id)
-            client = ServeClient(host, port, timeout=60.0)
-            cache[replica_id] = (generation, client)
-            with self._clients_lock:
-                self._all_clients.append(client)
-        return cache[replica_id][1]
-
-    def _drop_client(self, replica_id: str) -> None:
-        cache = getattr(self._tls, "clients", None)
-        if cache is None:
-            return
-        entry = cache.pop(replica_id, None)
-        if entry is not None:
-            entry[1].close()
-
     # -- request handling (event loop) ----------------------------------------
-    def _deadline_s(self, payload: Mapping[str, Any]) -> float:
-        value = payload.get(
-            "deadline_s", self.config.service.default_deadline_s
-        )
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"deadline_s must be a number, got {value!r}")
-        if value <= 0:
-            raise ValidationError(f"deadline_s must be positive, got {value}")
-        return float(value)
-
     async def handle_predict(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         """Answer one ``/v1/predict`` body with the standard envelope."""
         started = time.perf_counter()
         queries = PredictionService.parse_queries(payload)
-        deadline_s = self._deadline_s(payload)
+        deadline_s = PredictionService.parse_deadline(
+            payload, self.config.service.default_deadline_s
+        )
         limit = self.config.service.max_request_queries
         if len(queries) > limit:
             self.metrics.add("router.rejected")
@@ -381,7 +451,9 @@ class ShardRouter:
         already cached), failing over along the ring preference order."""
         started = time.perf_counter()
         request = PredictionService.parse_plan(payload)
-        deadline_s = self._deadline_s(payload)
+        deadline_s = PredictionService.parse_deadline(
+            payload, self.config.service.default_deadline_s
+        )
         limit = self.config.service.max_request_queries
         candidates = request.candidate_count()
         if candidates > limit:
@@ -393,30 +465,14 @@ class ShardRouter:
             )
         if self._state != "running":
             raise CapacityError(f"router is {self._state}")
-        assert self._pool is not None
-        ring = self.replicas.ring()
-        if not len(ring):
-            self.metrics.add("router.rejected")
-            raise CapacityError(
-                "no routable replicas (all down or draining)",
-                details={"replicas": self.replicas.as_dict()["replicas"]},
-            )
-        preferences = ring.preferences(
+        preferences = self._routable_ring().preferences(
             request.canonical_key(), self.config.max_attempts
         )
-        deadline_at = time.monotonic() + deadline_s
-        future = asyncio.get_running_loop().run_in_executor(
-            self._pool, self._forward_plan, preferences, request, deadline_at
+        [result] = await self._forward_all(
+            [(preferences, ServeClient.plan, request)],
+            deadline_s,
+            "plan still solving",
         )
-        try:
-            result = await asyncio.wait_for(future, timeout=deadline_s + 1.0)
-        except asyncio.TimeoutError:
-            self.metrics.add("router.deadline_exceeded")
-            raise DeadlineExceededError(
-                f"deadline of {deadline_s:g}s exceeded at the router "
-                "(plan still solving)",
-                details={"deadline_s": deadline_s},
-            ) from None
         elapsed_ms = (time.perf_counter() - started) * 1e3
         self.metrics.add("router.plans")
         return success_envelope(
@@ -429,63 +485,6 @@ class ShardRouter:
             },
         )
 
-    def _forward_plan(
-        self,
-        preferences: Sequence[str],
-        request: PlanRequest,
-        deadline_at: float,
-    ) -> PlanResult:
-        """One plan's round trip with failover (pool thread) — the same
-        error classification as :meth:`_forward_group`."""
-        last_error: Exception | None = None
-        for replica_id in preferences:
-            remaining = deadline_at - time.monotonic()
-            if remaining <= 0:
-                break
-            budget = remaining
-            if self.config.attempt_timeout_s is not None:
-                budget = min(budget, self.config.attempt_timeout_s)
-            try:
-                client = self._client(replica_id)
-            except KeyError:  # deregistered while we routed
-                continue
-            client.set_timeout(budget + 0.5)
-            try:
-                result = client.plan(request, deadline_s=remaining)
-            except _FATAL_ERRORS:
-                raise
-            except CapacityError as exc:
-                last_error = exc
-                self.metrics.add(
-                    "router.replica_busy", labels={"replica": replica_id}
-                )
-                continue
-            except (OSError, ApiError) as exc:
-                last_error = exc
-                self._drop_client(replica_id)
-                self.replicas.mark_failure(replica_id)
-                self.metrics.add(
-                    "router.failovers", labels={"replica": replica_id}
-                )
-                continue
-            self.replicas.mark_success(replica_id)
-            self.metrics.add(
-                "router.forwards", labels={"replica": replica_id}
-            )
-            return result
-        if time.monotonic() >= deadline_at:
-            self.metrics.add("router.deadline_exceeded")
-            raise DeadlineExceededError(
-                "deadline exceeded while failing over "
-                f"(tried {list(preferences)})",
-            ) from last_error
-        if isinstance(last_error, ApiError):
-            raise last_error
-        self.metrics.add("router.rejected")
-        raise CapacityError(
-            f"no replica answered (tried {list(preferences)})",
-        ) from last_error
-
     async def _forward_misses(
         self,
         queries: Sequence[Query],
@@ -496,7 +495,28 @@ class ShardRouter:
     ) -> None:
         """Group misses by ring owner, forward the groups concurrently,
         scatter the answers back in place."""
-        assert self._pool is not None
+        ring = self._routable_ring()
+        groups: dict[str, list[int]] = {}
+        for index in miss_indices:
+            groups.setdefault(ring.assign(keys[index]), []).append(index)
+        answered = await self._forward_all(
+            [
+                (
+                    ring.preferences(keys[indices[0]], self.config.max_attempts),
+                    ServeClient.predict_many,
+                    [queries[i] for i in indices],
+                )
+                for indices in groups.values()
+            ],
+            deadline_s,
+            f"{len(miss_indices)} queries pending",
+        )
+        for indices, group_results in zip(groups.values(), answered):
+            for index, result in zip(indices, group_results):
+                results[index] = result
+                self.cache.put(keys[index], result)
+
+    def _routable_ring(self) -> HashRing:
         ring = self.replicas.ring()
         if not len(ring):
             self.metrics.add("router.rejected")
@@ -504,96 +524,59 @@ class ShardRouter:
                 "no routable replicas (all down or draining)",
                 details={"replicas": self.replicas.as_dict()["replicas"]},
             )
-        groups: dict[str, list[int]] = {}
-        for index in miss_indices:
-            groups.setdefault(ring.assign(keys[index]), []).append(index)
+        return ring
+
+    async def _forward_all(
+        self,
+        calls: Sequence[tuple[Sequence[str], Callable[..., Any], Any]],
+        deadline_s: float,
+        pending: str,
+    ) -> list[Any]:
+        """Run ``(preferences, call, argument)`` forwards concurrently on
+        the pool, all against one request deadline."""
+        assert self._pool is not None
         deadline_at = time.monotonic() + deadline_s
         loop = asyncio.get_running_loop()
         futures = [
-            loop.run_in_executor(
-                self._pool,
-                self._forward_group,
-                ring.preferences(keys[indices[0]], self.config.max_attempts),
-                [queries[i] for i in indices],
-                deadline_at,
-            )
-            for indices in groups.values()
+            loop.run_in_executor(self._pool, self._forward, deadline_at, *call)
+            for call in calls
         ]
         try:
-            answered = await asyncio.wait_for(
+            return await asyncio.wait_for(
                 asyncio.gather(*futures), timeout=deadline_s + 1.0
             )
         except asyncio.TimeoutError:
             self.metrics.add("router.deadline_exceeded")
             raise DeadlineExceededError(
                 f"deadline of {deadline_s:g}s exceeded at the router "
-                f"({len(miss_indices)} queries pending)",
+                f"({pending})",
                 details={"deadline_s": deadline_s},
             ) from None
-        for indices, group_results in zip(groups.values(), answered):
-            for index, result in zip(indices, group_results):
-                results[index] = result
-                self.cache.put(keys[index], result)
 
-    def _forward_group(
+    def _forward(
         self,
-        preferences: Sequence[str],
-        queries: list[Query],
         deadline_at: float,
-    ) -> list[PredictionResult]:
-        """One owner group's round trip with failover (pool thread)."""
-        last_error: Exception | None = None
-        for replica_id in preferences:
-            remaining = deadline_at - time.monotonic()
-            if remaining <= 0:
-                break
-            budget = remaining
-            if self.config.attempt_timeout_s is not None:
-                budget = min(budget, self.config.attempt_timeout_s)
-            try:
-                client = self._client(replica_id)
-            except KeyError:  # deregistered while we routed
-                continue
-            client.set_timeout(budget + 0.5)
-            try:
-                answers = client.predict_many(queries, deadline_s=remaining)
-            except _FATAL_ERRORS:
-                raise
-            except CapacityError as exc:
-                # Alive but full (or draining): spill to the successor
-                # without a health penalty.
-                last_error = exc
-                self.metrics.add(
-                    "router.replica_busy", labels={"replica": replica_id}
-                )
-                continue
-            except (OSError, ApiError) as exc:
-                # Transport death or a poisoned answer: charge the
-                # replica and fail over.
-                last_error = exc
-                self._drop_client(replica_id)
-                self.replicas.mark_failure(replica_id)
-                self.metrics.add(
-                    "router.failovers", labels={"replica": replica_id}
-                )
-                continue
-            self.replicas.mark_success(replica_id)
-            self.metrics.add(
-                "router.forwards", labels={"replica": replica_id}
+        preferences: Sequence[str],
+        call: Callable[..., T],
+        argument: Any,
+    ) -> T:
+        """One forward with failover, on a pool thread (each pool thread
+        keeps its own replica connections)."""
+        connections = getattr(self._tls, "connections", None)
+        if connections is None:
+            connections = self._tls.connections = _ReplicaConnections(
+                self.replicas, timeout=60.0
             )
-            return answers
-        if time.monotonic() >= deadline_at:
-            self.metrics.add("router.deadline_exceeded")
-            raise DeadlineExceededError(
-                "deadline exceeded while failing over "
-                f"(tried {list(preferences)})",
-            ) from last_error
-        if isinstance(last_error, ApiError):
-            raise last_error
-        self.metrics.add("router.rejected")
-        raise CapacityError(
-            f"no replica answered (tried {list(preferences)})",
-        ) from last_error
+            with self._connections_lock:
+                self._all_connections.append(connections)
+        return connections.failover(
+            preferences,
+            call,
+            argument,
+            deadline_at=deadline_at,
+            attempt_timeout_s=self.config.attempt_timeout_s,
+            metrics=self.metrics,
+        )
 
     # -- introspection endpoints ------------------------------------------------
     def healthz(self) -> dict[str, Any]:
@@ -1015,29 +998,10 @@ class ShardClient:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self._keyer = keyer
-        self._clients: dict[str, tuple[int, ServeClient]] = {}
-
-    # -- connections ------------------------------------------------------------
-    def _client(self, replica_id: str) -> ServeClient:
-        generation = self.replicas.generation(replica_id)
-        entry = self._clients.get(replica_id)
-        if entry is None or entry[0] != generation:
-            if entry is not None:
-                entry[1].close()
-            host, port = self.replicas.address(replica_id)
-            entry = (generation, ServeClient(host, port, timeout=self.timeout))
-            self._clients[replica_id] = entry
-        return entry[1]
-
-    def _drop(self, replica_id: str) -> None:
-        entry = self._clients.pop(replica_id, None)
-        if entry is not None:
-            entry[1].close()
+        self._connections = _ReplicaConnections(replicas, timeout=timeout)
 
     def close(self) -> None:
-        for _, client in self._clients.values():
-            client.close()
-        self._clients.clear()
+        self._connections.close()
 
     def __enter__(self) -> "ShardClient":
         return self
@@ -1062,33 +1026,17 @@ class ShardClient:
         deadline_s: float | None = None,
     ) -> PredictionResult:
         """Answer one query on its owning replica, failing over along
-        the ring preference order."""
+        the ring preference order within ``deadline_s``."""
         run_key = key if key is not None else self.key_for(query)
         preferences = self.replicas.preferences(run_key, self.max_attempts)
         if not preferences:
             raise CapacityError("no routable replicas (all down or draining)")
-        last_error: Exception | None = None
-        for replica_id in preferences:
-            try:
-                client = self._client(replica_id)
-            except KeyError:
-                continue
-            try:
-                result = client.predict(query, deadline_s=deadline_s)
-            except _FATAL_ERRORS:
-                raise
-            except CapacityError as exc:
-                last_error = exc  # alive but full: spill, no health mark
-                continue
-            except (OSError, ApiError) as exc:
-                last_error = exc
-                self._drop(replica_id)
-                self.replicas.mark_failure(replica_id)
-                continue
-            self.replicas.mark_success(replica_id)
-            return result
-        if isinstance(last_error, ApiError):
-            raise last_error
-        raise CapacityError(
-            f"no replica answered (tried {preferences})"
-        ) from last_error
+        return self._connections.failover(
+            preferences,
+            ServeClient.predict,
+            query,
+            deadline_at=(
+                None if deadline_s is None else time.monotonic() + deadline_s
+            ),
+            attempt_timeout_s=self.timeout,
+        )

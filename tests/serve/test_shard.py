@@ -17,8 +17,12 @@ from repro.api import Predictor
 from repro.api.errors import CapacityError, ValidationError
 from repro.api.types import Query
 from repro.serve.client import ServeClient
+from repro.serve.loadgen import build_query_pool
+from repro.serve.registry import ReplicaSet
 from repro.serve.service import ServiceConfig
-from repro.serve.shard import ShardConfig, ShardDeployment
+from repro.serve.shard import ShardConfig, ShardDeployment, ShardRouter
+from repro.serve.threadserver import ServerThread
+from tests.serve.fake_server import FakeServer, answering
 
 
 def _queries() -> list[Query]:
@@ -275,3 +279,40 @@ def test_concurrent_router_clients_agree_with_oracle(deployment, oracle):
         thread.join(timeout=120)
         assert not thread.is_alive(), "client thread hung"
     assert errors == []
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b'{"results": []}', b"{}"],
+    ids=["empty-results", "missing-results"],
+)
+def test_router_fails_over_on_a_poisoned_replica_answer(oracle, body):
+    """A replica that answers 200 with a wrong-sized or missing
+    ``results`` list is poisoned, not the caller's fault: the router
+    charges it and fails over, and the caller gets the right answers."""
+    config = ShardConfig(
+        replicas=2,
+        backend="thread",
+        service=ServiceConfig(workers=1, cache_ttl_s=None),
+        probe_interval_s=0.0,
+        fail_after=1,
+        router_cache_entries=0,
+        attempt_timeout_s=5.0,
+    )
+    queries = build_query_pool(12, predictor=oracle)
+    replicas = ReplicaSet(fail_after=config.fail_after)
+    with FakeServer(answering("200 OK", body)) as bad, ServerThread(
+        config.service
+    ) as good:
+        replicas.register("r0", bad.host, bad.port)
+        replicas.register("r1", good.host, good.port)
+        ring = replicas.ring()
+        assert "r0" in {ring.assign(oracle.cache_key(q)) for q in queries}
+        router = ShardRouter(config, replicas)
+        with ServerThread(service=router) as front:
+            with ServeClient(front.host, front.port, timeout=60.0) as client:
+                results = client.predict_many(queries)
+    assert results == [oracle.predict(q) for q in queries]
+    counters = router.metrics.as_dict()["counters"]
+    assert counters["router.failovers{replica=r0}"] >= 1
+    assert replicas.info("r0").state == "down"

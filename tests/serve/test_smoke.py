@@ -42,8 +42,8 @@ def test_run_smoke_passes_at_small_scale():
     report = run_smoke(
         clients=8, requests_per_client=2, workers=2, check_sample=4
     )
-    assert report["phase"]["errors"] == 0
-    assert report["phase"]["requests"] == 16
+    assert report["phase"]["failed"] == 0
+    assert report["phase"]["offered"] == 16
     assert report["identity"]["bit_identical"]
     assert report["violations"] == 0
     assert report["invariant_audited"] >= 1
@@ -56,7 +56,7 @@ def test_measure_serve_reports_all_phases_at_small_scale():
         identity_sample=4,
     )
     for phase in ("coalesced", "hot_cache", "naive"):
-        assert document[phase]["errors"] == 0
-        assert document[phase]["throughput_rps"] > 0
+        assert document[phase]["failed"] == 0
+        assert document[phase]["goodput_rps"] > 0
     assert document["identity"]["bit_identical"]
     assert document["coalescing"]["batched_queries"] >= 8

@@ -21,6 +21,7 @@ instead of building them (pass ``--no-prewarm`` for the cold shape).
 
 Usage::
 
+    make serve-shard-smoke
     PYTHONPATH=src python tools/serve_shard_smoke.py [--clients N]
         [--requests-per-client N] [--replicas N] [--no-prewarm]
 
@@ -55,9 +56,10 @@ def main(argv: list[str] | None = None) -> int:
     from repro.api import Predictor
     from repro.serve.client import ServeClient
     from repro.serve.loadgen import (
-        _verify_identity,
         build_keyed_pool,
-        run_shard_phase,
+        run_closed_loop,
+        shard_slots,
+        verify_identity,
     )
     from repro.serve.service import ServiceConfig
     from repro.serve.shard import ShardConfig, ShardDeployment
@@ -100,12 +102,11 @@ def main(argv: list[str] | None = None) -> int:
 
             killer = threading.Thread(target=assassin, name="assassin")
             killer.start()
-            phase, responses = run_shard_phase(
+            phase, responses = run_closed_loop(
                 "smoke",
-                deployment.replicas,
                 partitions,
+                *shard_slots(deployment.replicas, timeout_s=30.0),
                 request_deadline_s=60.0,
-                timeout_s=30.0,
             )
             killer.join()
 
@@ -139,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
             if down:
                 failures.append(f"surviving replicas not up: {down}")
 
-            identity = _verify_identity(responses, args.check_sample)
+            identity = verify_identity(responses, args.check_sample)
             if not identity["checked"]:
                 failures.append("identity audit sampled zero responses")
             if not identity["bit_identical"]:

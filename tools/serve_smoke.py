@@ -2,9 +2,10 @@
 """CI smoke for the prediction service (`repro.serve`).
 
 Boots a real server on a background thread, drives it with concurrent
-clients over TCP, and fails (non-zero exit) if any request errors, the
-p99 latency exceeds the bound, any served result differs from direct
-scalar evaluation, or the invariant checker flags a served metric.
+clients over TCP, and fails (non-zero exit) if any request errors or
+draws a 429, the p99 latency exceeds the bound, any served result
+differs from direct scalar evaluation, or the invariant checker flags a
+served metric.
 
 Usage::
 
@@ -48,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(json.dumps(report, indent=2, sort_keys=True))
     print(
-        f"[serve-smoke] OK: {report['phase']['requests']} requests, "
+        f"[serve-smoke] OK: {report['phase']['succeeded']} requests, "
         f"p99 {report['phase']['p99_ms']:.1f} ms, "
         f"{report['invariant_audited']} runs audited, "
         f"{report['violations']} violations",
