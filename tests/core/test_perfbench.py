@@ -141,6 +141,11 @@ class TestServeBenchHistory:
         assert "history" not in document
 
 
+# Keys written by hand into a committed row (a parent-commit comparison
+# and its note); no row builder emits them.
+_HAND_ANNOTATIONS = {"note", "parent_plan_latency_ms"}
+
+
 def _engine_rewrite(path: pathlib.Path) -> tuple[dict, dict]:
     result = fake_result()
     return result.as_dict(), engine_history_row(result)
@@ -159,7 +164,7 @@ def _plan_rewrite(path: pathlib.Path) -> tuple[dict, dict]:
 def test_committed_trajectory_survives_a_rewrite(tmp_path, name, rewrite):
     """Rewriting a committed BENCH file through the one writer keeps
     every earlier ``history`` row byte-for-byte and appends exactly one
-    row with that bench's current keys."""
+    row with the keys of the latest committed row."""
     path = tmp_path / name
     shutil.copy(REPO_ROOT / name, path)
     before = json.loads(path.read_text())["history"]
@@ -170,3 +175,4 @@ def test_committed_trajectory_survives_a_rewrite(tmp_path, name, rewrite):
     for old, kept in zip(before, after):
         assert json.dumps(kept, indent=2) == json.dumps(old, indent=2)
     assert list(after[-1]) == ["at", *row]
+    assert set(after[-1]) == set(before[-1]) - _HAND_ANNOTATIONS

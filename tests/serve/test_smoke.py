@@ -57,6 +57,7 @@ def test_measure_serve_reports_all_phases_at_small_scale():
     )
     for phase in ("coalesced", "hot_cache", "naive"):
         assert document[phase]["failed"] == 0
+        assert document[phase]["retries"] == 0
         assert document[phase]["goodput_rps"] > 0
     assert document["identity"]["bit_identical"]
     assert document["coalescing"]["batched_queries"] >= 8
