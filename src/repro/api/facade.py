@@ -26,7 +26,9 @@ scalar evaluation (the PR-4 contract).
 Thread-safety: a :class:`Predictor` is **not** thread-safe — the batch
 evaluator it drives mutates a shared simulated-OS allocator.  The serving
 layer gives each worker thread its own predictor; in-process callers
-share the module-level default from a single thread.
+share the module-level default from a single thread.  Run caches are
+lock-protected and hold frozen records, so predictors on different
+threads may share them (:attr:`Predictor.run_caches`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,12 @@ from repro.api.errors import UnknownWorkloadError, ValidationError
 from repro.api.types import MACHINE_NAMES, PredictionResult, Query, QueryGrid
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.executor import ExecutorStats, SweepCell, SweepExecutor
+    from repro.core.executor import (
+        ExecutorStats,
+        RunCache,
+        SweepCell,
+        SweepExecutor,
+    )
     from repro.core.runner import RunRecord
     from repro.engine.batch import ModelTables
     from repro.engine.perfmodel import RunResult
@@ -115,6 +122,12 @@ class Predictor:
     its own machine preset; other presets get a fresh serial executor on
     first use.  Serial executors dispatch multi-cell misses through the
     columnar batch engine automatically.
+
+    :attr:`run_caches` maps each preset name to its executor's
+    :class:`~repro.core.executor.RunCache`.  A new executor adopts the
+    cache already entered under its preset, so predictors handed one
+    shared mapping before first use share one run cache per preset —
+    how the service's worker threads see each other's evaluations.
     """
 
     def __init__(
@@ -144,10 +157,13 @@ class Predictor:
         self._executors_lock = threading.Lock()
         self._executors: dict[str, "SweepExecutor"] = {}
         self._tables: dict[str, "ModelTables"] = {}
+        self.run_caches: dict[str, "RunCache"] = {}
         if runner is not None:
             from repro.core.executor import as_executor
 
-            self._executors[self.default_machine] = as_executor(runner)
+            executor = as_executor(runner)
+            self._executors[self.default_machine] = executor
+            self.run_caches[self.default_machine] = executor.cache
 
     # -- executors ------------------------------------------------------------
     def executor(self, machine: str | None = None) -> "SweepExecutor":
@@ -165,6 +181,9 @@ class Predictor:
                 cache_dir=self.cache_dir,
                 table_cache_dir=self.table_cache_dir,
             )
+            # dict.setdefault is atomic, so racing first uses on threads
+            # sharing this mapping all adopt one cache.
+            executor.cache = self.run_caches.setdefault(name, executor.cache)
             with self._executors_lock:
                 # Another caller may have built the same preset while we
                 # did; keep the first one so stats stay on one object.
@@ -281,7 +300,7 @@ class Predictor:
         return ExecutorStats(
             hits=sum(s.hits for s in totals),
             misses=sum(s.misses for s in totals),
-            disk_hits=sum(s.disk_hits for s in totals),
+            disk_hits=run_cache_disk_hits([self]),
             executed=sum(s.executed for s in totals),
             batches=sum(s.batches for s in totals),
             batched_cells=sum(s.batched_cells for s in totals),
@@ -293,6 +312,17 @@ class Predictor:
     def close(self) -> None:
         for executor in self._executor_snapshot():
             executor.close()
+
+
+def run_cache_disk_hits(predictors: Sequence[Predictor]) -> int:
+    """Disk hits over the distinct run caches of ``predictors``, each
+    counted once however many predictors or executors share it."""
+    caches = {
+        id(cache): cache
+        for predictor in predictors
+        for cache in list(predictor.run_caches.values())
+    }
+    return sum(cache.disk_hits for cache in caches.values())
 
 
 def compare_configs(

@@ -31,6 +31,7 @@ loads into the pool's node counts (docs/PLANNING.md).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -93,7 +94,7 @@ def _check_finite(name: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     number = float(value)
-    if number != number or number in (float("inf"), float("-inf")):
+    if not math.isfinite(number):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return number
 

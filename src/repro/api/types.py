@@ -21,6 +21,8 @@ servers can negotiate.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -98,7 +100,7 @@ def _check_size(name: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     size = float(value)
-    if not size > 0 or size != size or size == float("inf"):
+    if not 0.0 < size < math.inf:
         raise ValidationError(f"{name} must be positive and finite, got {value!r}")
     return size
 
@@ -111,6 +113,23 @@ def _check_threads(name: str, value: Any) -> int:
     return value
 
 
+@functools.cache
+def _config_aliases() -> tuple[dict[str, str], str]:
+    """Lower-cased alias -> ``ConfigName`` value, and the options text.
+
+    Aliases are entered in enum order and never overwritten, so a lookup
+    answers what a walk over the enum returning the first member whose
+    lower-cased name or value matches would answer.
+    """
+    from repro.core.configs import ConfigName
+
+    aliases: dict[str, str] = {}
+    for member in ConfigName:
+        aliases.setdefault(member.name.lower(), member.value)
+        aliases.setdefault(member.value.lower(), member.value)
+    return aliases, ", ".join(n.value for n in ConfigName)
+
+
 def _canonical_config(value: Any) -> str:
     """Canonicalize a configuration name to the ``ConfigName`` value.
 
@@ -118,14 +137,14 @@ def _canonical_config(value: Any) -> str:
     (``"Cache Mode"``), case-insensitively, so wire clients never need
     the Python enum.
     """
-    from repro.core.configs import ConfigName
-
     text = _check_str("config", value)
-    for name in ConfigName:
-        if text.lower() in (name.name.lower(), name.value.lower()):
-            return name.value
-    options = ", ".join(n.value for n in ConfigName)
-    raise ValidationError(f"unknown config {value!r}; expected one of {options}")
+    aliases, options = _config_aliases()
+    canonical = aliases.get(text.lower())
+    if canonical is None:
+        raise ValidationError(
+            f"unknown config {value!r}; expected one of {options}"
+        )
+    return canonical
 
 
 def _canonical_machine(value: Any) -> str:

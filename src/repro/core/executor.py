@@ -26,10 +26,12 @@ the cache naturally: the old entries simply stop being addressed.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import pathlib
+import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -262,13 +264,26 @@ def cache_key(
     separators) of ``{check?, config, machine, num_threads, workload}``.
     Sorted, the top-level keys put the machine and config halves first,
     so they are hashed once per (machine, config, check) and the
-    workload half encoded once per instance; each call only hashes the
-    thread count and the workload tail.
+    workload half encoded once per instance; the finished hex key is
+    memoized on the workload instance per (machine, config, check,
+    threads), so a repeated cell costs one dictionary lookup.  The memo
+    is keyed on the machine and config objects, pinned by strong
+    references as in :data:`_KEY_PREFIXES`, and lives under the same
+    immutability contract as the workload suffix.
     """
+    memo = workload.__dict__.get("_run_keys")
+    if memo is None:
+        memo = workload.__dict__.setdefault("_run_keys", {})
+    slot = (id(machine), id(config), check, num_threads)
+    entry = memo.get(slot)
+    if entry is not None and entry[0] is machine and entry[1] is config:
+        return entry[2]
     digest = _key_prefix(machine, config, check).copy()
     digest.update(str(int(num_threads)).encode("ascii"))
     digest.update(_workload_suffix(workload))
-    return digest.hexdigest()
+    key = digest.hexdigest()
+    memo[slot] = (machine, config, key)
+    return key
 
 
 # -- record (de)serialization -------------------------------------------------
@@ -393,9 +408,22 @@ class RunCache:
             self._store(key, record)
         path = self._disk_path(key)
         if path is not None:
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(record_to_json(record), sort_keys=True))
-            tmp.replace(path)
+            # A unique temp file per writer: threads or processes putting
+            # the same key never write into each other's file, and the
+            # replace is atomic, so readers see one whole entry.
+            fd, tmp = tempfile.mkstemp(
+                dir=self.cache_dir, prefix=f"{path.name}.", suffix=".tmp"
+            )
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(
+                        json.dumps(record_to_json(record), sort_keys=True)
+                    )
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
 
     def _store(self, key: str, record: RunRecord) -> None:
         self._lru[key] = record

@@ -66,19 +66,24 @@ class EnergyModel:
     """Prices a simulated run."""
 
     def __init__(self, params: EnergyParameters | None = None) -> None:
-        self.params = params if params is not None else EnergyParameters()
-
-    def _per_byte_pj(self, location: Location) -> float:
-        p = self.params
-        if location is Location.DRAM:
-            return p.dram_pj_per_byte
-        if location is Location.HBM:
-            return p.hbm_pj_per_byte
-        # Cache mode: every byte crosses MCDRAM (probe + data) and misses
+        self._params = params if params is not None else EnergyParameters()
+        p = self._params
+        # pJ per byte by location, built once per model.  Cache mode:
+        # every byte crosses MCDRAM (probe + data) and misses
         # additionally cross DDR; approximate with the blended worst case
         # of an MCDRAM transfer plus the probe overhead (the DDR share is
         # charged by callers through the mix when known).
-        return p.hbm_pj_per_byte + p.cache_probe_pj_per_byte
+        self._pj_per_byte = {
+            Location.DRAM: p.dram_pj_per_byte,
+            Location.HBM: p.hbm_pj_per_byte,
+            Location.DRAM_CACHED: p.hbm_pj_per_byte + p.cache_probe_pj_per_byte,
+        }
+
+    @property
+    def params(self) -> EnergyParameters:
+        """The coefficients (fixed at construction: the per-location
+        table is derived from them)."""
+        return self._params
 
     def estimate(
         self,
@@ -93,16 +98,19 @@ class EnergyModel:
         """
         if mix is None:
             mix = run.placement
+        per_phase = isinstance(mix, dict)
+        pj_per_byte = self._pj_per_byte
+        flop_pj = self._params.flop_pj
         memory_pj = 0.0
         compute_pj = 0.0
         for phase in profile.phases:
-            phase_mix = mix[phase.name] if isinstance(mix, dict) else mix
-            for location, fraction in phase_mix.fractions:
-                memory_pj += (
-                    phase.traffic_bytes * fraction * self._per_byte_pj(location)
-                )
-            compute_pj += phase.flops * self.params.flop_pj
-        static_j = self.params.static_watts * run.time_s
+            traffic = phase.traffic_bytes
+            for location, fraction in (
+                mix[phase.name] if per_phase else mix
+            ).fractions:
+                memory_pj += traffic * fraction * pj_per_byte[location]
+            compute_pj += phase.flops * flop_pj
+        static_j = self._params.static_watts * run.time_s
         return EnergyEstimate(
             dynamic_memory_j=memory_pj * 1e-12,
             dynamic_compute_j=compute_pj * 1e-12,

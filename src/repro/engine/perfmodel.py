@@ -24,6 +24,7 @@ All the paper's effects emerge from this composition:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,10 @@ class RunResult:
     num_threads: int
     phase_results: tuple[PhaseResult, ...]
 
-    @property
+    @functools.cached_property
     def time_ns(self) -> float:
+        # Computed once per (frozen) result: the planner and the energy
+        # model read it for every plan candidate served from the run cache.
         return sum(p.time_ns for p in self.phase_results)
 
     @property

@@ -180,6 +180,8 @@ class TableCache:
         an entry only ever grows, and no writer sharing the directory can
         drop a slice another writer stored.  Readers never wait; the
         replace is atomic, so they see the old or the new file whole.
+        A store that adds nothing — the merge equals the verified file —
+        leaves the file alone.
         """
         path = self._path(key)
         with self._lock, obs_trace.span("tables.store"), self._key_lock(key):
@@ -189,6 +191,8 @@ class TableCache:
                 existing = None
             if existing is not None:
                 payload = _merge(existing, payload)
+                if payload == existing:
+                    return
             wrapper = {"checksum": _checksum(payload), "payload": payload}
             fd, tmp = tempfile.mkstemp(
                 dir=self.directory, prefix=f"{path.name}.", suffix=".tmp"

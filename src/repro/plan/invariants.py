@@ -112,19 +112,21 @@ def _weight_conserved(request: PlanRequest, result: PlanResult) -> list[str]:
 )
 def _assignments_valid(request: PlanRequest, result: PlanResult) -> list[str]:
     violations: list[str] = []
-    pool = {entry.machine: entry for entry in request.pool}
+    allowed = {
+        entry.machine: entry.effective_configs() for entry in request.pool
+    }
     for i, assignment in enumerate(result.assignments):
-        entry = pool.get(assignment.machine)
-        if entry is None:
+        configs = allowed.get(assignment.machine)
+        if configs is None:
             violations.append(
                 f"assignment {i} on {assignment.machine!r}, not in the pool"
             )
             continue
-        if assignment.config not in entry.effective_configs():
+        if assignment.config not in configs:
             violations.append(
                 f"assignment {i} uses config {assignment.config!r}, which "
                 f"{assignment.machine} does not allow "
-                f"({', '.join(entry.effective_configs())})"
+                f"({', '.join(configs)})"
             )
         expected = assignment.item.weight * assignment.time_ns * 1e-9
         if not _close(assignment.load_nodes, expected):

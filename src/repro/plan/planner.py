@@ -74,13 +74,14 @@ class _Candidate:
 
     ``machine`` and ``config`` are the canonical wire names; ``record``
     is the feasible :class:`~repro.core.runner.RunRecord` the assignment
-    reads its prediction from.
+    reads its prediction from, and ``time_ns`` its run's time, read once.
     """
 
     item_index: int
     machine: str
     config: str
     record: RunRecord
+    time_ns: float
     load_nodes: float
     energy_j: float
     cost: float
@@ -109,9 +110,9 @@ class CapacityPlanner:
         machine (the bit-identity path).
 
         Admission mirrors :meth:`Predictor.resolve` without building a
-        query per candidate: the memory-mode check runs once per
-        (machine, config) and the thread placement once per
-        (machine, thread count).
+        query per candidate: the memory-mode check and the config's wire
+        name resolve once per (machine, config), and the thread placement
+        once per (machine, thread count).
         """
         # Machine-independent problems (unknown workload, a size the
         # constructor rejects) are typed request errors, not "infeasible
@@ -119,11 +120,14 @@ class CapacityPlanner:
         workloads = [
             sized_workload(item.workload, item.size_gb) for item in request.mix
         ]
+        weights = [item.weight for item in request.mix]
         energy = request.objective == "energy"
+        price = self.energy_model.estimate_record
         per_item: list[list[_Candidate]] = [[] for _ in request.mix]
         for entry in request.pool:
             machine = self.predictor.machine(entry.machine)
             configs = []
+            wire_names: dict[int, str] = {}
             for name in entry.effective_configs():
                 config = make_config(ConfigName(name))
                 try:
@@ -131,6 +135,7 @@ class CapacityPlanner:
                 except ValueError:
                     continue  # this machine offers no such memory mode
                 configs.append(config)
+                wire_names[id(config)] = config.name.value
             placeable: dict[int, bool] = {}
             cells: list[SweepCell] = []
             owners: list[int] = []
@@ -156,20 +161,20 @@ class CapacityPlanner:
                 run = record.run_result
                 if record.infeasible_reason is not None or run is None:
                     continue  # modelled infeasibility: not a candidate
-                item = request.mix[index]
-                load = item.weight * run.time_ns * 1e-9
-                estimate = self.energy_model.estimate_record(
-                    cell.workload, record
-                )
+                weight = weights[index]
+                time_ns = run.time_ns
+                load = weight * time_ns * 1e-9
+                energy_j = price(cell.workload, record).total_j
                 per_item[index].append(
                     _Candidate(
                         index,
                         entry.machine,
-                        cell.config.name.value,
+                        wire_names[id(cell.config)],
                         record,
+                        time_ns,
                         load,
-                        estimate.total_j,
-                        item.weight * estimate.total_j if energy else load,
+                        energy_j,
+                        weight * energy_j if energy else load,
                     )
                 )
         # Deterministic candidate order regardless of batch scheduling.
@@ -288,7 +293,7 @@ class CapacityPlanner:
                     item=request.mix[candidate.item_index],
                     machine=candidate.machine,
                     config=candidate.config,
-                    time_ns=candidate.record.run_result.time_ns,
+                    time_ns=candidate.time_ns,
                     metric=candidate.record.metric,
                     metric_name=candidate.record.metric_name,
                     metric_unit=candidate.record.metric_unit,

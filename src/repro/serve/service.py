@@ -22,7 +22,10 @@ Evaluation happens on pool threads through **thread-local**
 :class:`~repro.api.facade.Predictor` instances — the batch evaluator
 mutates a shared simulated-OS allocator, so predictors must never be
 shared across threads; the service tracks every predictor it created
-and aggregates their executor stats for ``/metrics``.
+and aggregates their executor stats for ``/metrics``.  The predictors do
+share one run cache per machine preset (lock-protected, frozen records),
+so a cell evaluated on one pool thread is a hit on the others and each
+record is held once.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.api.errors import (
     DeadlineExceededError,
     ValidationError,
 )
-from repro.api.facade import Predictor
+from repro.api.facade import Predictor, run_cache_disk_hits
 from repro.api.plan import PlanRequest, PlanResult
 from repro.api.types import (
     MACHINE_NAMES,
@@ -50,6 +53,7 @@ from repro.api.types import (
     QueryGrid,
     check_schema_version,
 )
+from repro.core.executor import RunCache
 from repro.plan.planner import CapacityPlanner
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import TTLCache
@@ -130,6 +134,8 @@ class PredictionService:
         # is safe alongside the pool threads' evaluating predictors.
         self._resolver = Predictor(machine=self.config.machine)
         self._tls = threading.local()
+        # One run cache per preset, shared by every worker predictor.
+        self._run_caches: dict[str, RunCache] = {}
         self._predictors: list[Predictor] = []
         self._predictors_lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
@@ -209,6 +215,7 @@ class PredictionService:
                 machine=self.config.machine,
                 table_cache_dir=self.config.table_cache_dir,
             )
+            predictor.run_caches = self._run_caches
             self._tls.predictor = predictor
             with self._predictors_lock:
                 self._predictors.append(predictor)
@@ -462,13 +469,14 @@ class PredictionService:
     def executor_stats(self) -> dict[str, Any]:
         """Aggregated sweep-executor counters across every predictor the
         service created (resolver included — it never evaluates, but its
-        counters prove that)."""
+        counters prove that).  Run-cache counters count each shared
+        cache once."""
         predictors = self._tracked_predictors() + [self._resolver]
         stats = [p.stats() for p in predictors]
         total = {
             "hits": sum(s.hits for s in stats),
             "misses": sum(s.misses for s in stats),
-            "disk_hits": sum(s.disk_hits for s in stats),
+            "disk_hits": run_cache_disk_hits(predictors),
             "executed": sum(s.executed for s in stats),
             "batches": sum(s.batches for s in stats),
             "batched_cells": sum(s.batched_cells for s in stats),

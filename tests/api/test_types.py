@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.api.errors import SchemaVersionError, ValidationError
 from repro.api.types import (
@@ -18,6 +20,8 @@ from repro.api.types import (
     PredictionResult,
     Query,
     QueryGrid,
+    _canonical_config,
+    _check_str,
     check_schema_version,
 )
 
@@ -204,3 +208,75 @@ class TestErrorInfo:
 
     def test_details_omitted_when_empty(self):
         assert "details" not in ErrorInfo(code="x", message="y").to_dict()
+
+
+def enum_walk_config(value):
+    """Config canonicalization as first written: walk the enum and return
+    the first member whose lower-cased name or value matches."""
+    from repro.core.configs import ConfigName
+
+    text = _check_str("config", value)
+    for name in ConfigName:
+        if text.lower() in (name.name.lower(), name.value.lower()):
+            return name.value
+    options = ", ".join(n.value for n in ConfigName)
+    raise ValidationError(f"unknown config {value!r}; expected one of {options}")
+
+
+def _outcome(fn, value):
+    try:
+        return ("ok", fn(value))
+    except ValidationError as exc:
+        return ("error", str(exc))
+
+
+def _spellings():
+    from repro.core.configs import ConfigName
+
+    for member in ConfigName:
+        for text in (member.name, member.value):
+            yield from {
+                text,
+                text.lower(),
+                text.upper(),
+                text.title(),
+                text.swapcase(),
+                f" {text}",
+                f"{text} ",
+                text.replace(" ", "_"),
+                text[:-1],
+                text + "s",
+            }
+
+
+class TestCanonicalConfig:
+    """The alias table answers exactly what the enum walk answered."""
+
+    @pytest.mark.parametrize(
+        "value",
+        sorted(set(_spellings()))
+        + ["", "cache-mode", "mcdram", "CacheKmode", "İnterleave"]
+        + [None, 3, b"DRAM", ["HBM"]],
+        ids=repr,
+    )
+    def test_matches_the_enum_walk(self, value):
+        assert _outcome(_canonical_config, value) == _outcome(
+            enum_walk_config, value
+        )
+
+    @given(
+        st.sampled_from(sorted(set(_spellings()))).flatmap(
+            lambda text: st.lists(
+                st.booleans(), min_size=len(text), max_size=len(text)
+            ).map(
+                lambda flips: "".join(
+                    c.swapcase() if flip else c for c, flip in zip(text, flips)
+                )
+            )
+        )
+        | st.text(max_size=12)
+    )
+    def test_matches_the_enum_walk_on_drawn_spellings(self, value):
+        assert _outcome(_canonical_config, value) == _outcome(
+            enum_walk_config, value
+        )

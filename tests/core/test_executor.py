@@ -1,6 +1,8 @@
 """SweepExecutor tests: cache keys, memoization, strategies, stats."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -111,6 +113,41 @@ class TestRunCache:
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
             RunCache(max_entries=0)
+
+    def test_concurrent_puts_of_one_key_leave_a_decodable_entry(
+        self, machine, tmp_path
+    ):
+        """Each writer has its own temp file, so threads putting the same
+        key never interleave bytes or replace each other's file away."""
+        record = ExperimentRunner(machine).run(_stream(2.0), HBM, 64)
+        cache = RunCache(cache_dir=tmp_path)
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(8)
+
+        def put() -> None:
+            try:
+                barrier.wait()
+                for _ in range(25):
+                    cache.put("shared", record)
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=put) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        fresh = RunCache(cache_dir=tmp_path)
+        assert fresh.get("shared") == record
+        assert fresh.disk_hits == 1
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestSweepExecutor:

@@ -160,3 +160,55 @@ def test_run_cache_written_under_reference_keys_reads_back_as_disk_hits(
         stats = reader.stats()
         assert stats.disk_hits == len(cells)
         assert stats.executed == 0
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_memoized_keys_match_the_formula_on_every_repeat(check):
+    """Keys served from the per-workload memo — second and later calls,
+    interleaved across machines, configs and threads — are the
+    reference bytes under every check mode."""
+    machines = [registry.build(name) for name in ("knl7210", "xeonmax9480")]
+    workloads = [sized_workload(name, 9.0) for name in ("gups", "xsbench")]
+    cells = [
+        (machine, workload, config, threads)
+        for machine in machines
+        for workload in workloads
+        for config in CONFIGS
+        for threads in THREADS
+    ]
+    expected = [reference_key(*cell, check) for cell in cells]
+    for _ in range(3):
+        assert [cache_key(*cell, check=check) for cell in cells] == expected
+
+
+def test_ablation_configs_sharing_a_name_get_distinct_memoized_keys():
+    machine = registry.build("knl7210")
+    workload = sized_workload("minife", 6.0)
+    ablations = [
+        make_config(ConfigName.CACHE, cache_associativity=ways)
+        for ways in (1, 2, 8)
+    ]
+    assert len({config.name for config in ablations}) == 1
+    for check in CHECKS:
+        for _ in range(2):
+            keys = [
+                cache_key(machine, workload, config, 64, check=check)
+                for config in ablations
+            ]
+            assert len(set(keys)) == len(ablations)
+            assert keys == [
+                reference_key(machine, workload, config, 64, check)
+                for config in ablations
+            ]
+
+
+def test_equal_machine_objects_share_keys():
+    """The memo is keyed on object identity, but keys stay content
+    addresses: a second build of a preset keys every cell the same."""
+    workload = sized_workload("graph500", 6.0)
+    first, second = registry.build("knl7250"), registry.build("knl7250")
+    assert first is not second
+    for config in CONFIGS:
+        assert cache_key(first, workload, config, 32) == cache_key(
+            second, workload, config, 32
+        )

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.core.configs import ConfigName, make_config
+from repro.core.runner import ExperimentRunner
 from repro.engine.energy import EnergyModel, EnergyParameters
 from repro.engine.placement import Location, PlacementMix
 from repro.engine.profilephase import AccessPattern, MemoryProfile, Phase
+from repro.machine import registry
 from repro.util.units import GB
+from repro.workloads.registry import FROM_GB
 
 
 def stream_profile(gb=4.0):
@@ -112,3 +116,114 @@ class TestEnergyModel:
         estimate = model.estimate(prof, run)
         with pytest.raises(ValueError):
             estimate.edp(-1.0)
+
+
+def reference_estimate(params, profile, run, mix=None):
+    """The energy arithmetic as first written: a per-phase, per-location
+    dispatch on the coefficients, in the same float operation order."""
+
+    def per_byte_pj(location):
+        if location is Location.DRAM:
+            return params.dram_pj_per_byte
+        if location is Location.HBM:
+            return params.hbm_pj_per_byte
+        return params.hbm_pj_per_byte + params.cache_probe_pj_per_byte
+
+    if mix is None:
+        mix = run.placement
+    memory_pj = 0.0
+    compute_pj = 0.0
+    for phase in profile.phases:
+        phase_mix = mix[phase.name] if isinstance(mix, dict) else mix
+        for location, fraction in phase_mix.fractions:
+            memory_pj += phase.traffic_bytes * fraction * per_byte_pj(location)
+        compute_pj += phase.flops * params.flop_pj
+    return (
+        memory_pj * 1e-12,
+        compute_pj * 1e-12,
+        params.static_watts * run.time_s,
+    )
+
+
+PARAMETER_SETS = {
+    "default": EnergyParameters(),
+    "custom": EnergyParameters(
+        dram_pj_per_byte=97.3,
+        hbm_pj_per_byte=31.7,
+        cache_probe_pj_per_byte=3.3,
+        flop_pj=11.1,
+        static_watts=187.9,
+    ),
+}
+
+
+class TestBitIdentityWithTheDispatchingArithmetic:
+    """The per-location table prices every feasible record with exactly
+    the bits of the per-phase dispatch it replaced."""
+
+    @pytest.mark.parametrize("params", PARAMETER_SETS.values(), ids=PARAMETER_SETS)
+    @pytest.mark.parametrize("machine_name", registry.names())
+    def test_every_feasible_record_on_every_supported_config(
+        self, machine_name, params
+    ):
+        machine = registry.build(machine_name)
+        runner = ExperimentRunner(machine)
+        model = EnergyModel(params)
+        threads = min(64, machine.num_cores)
+        priced = 0
+        for config_name in ConfigName:
+            config = make_config(config_name)
+            if config.mcdram.mode.value not in machine.supported_memory_modes:
+                continue
+            for name in sorted(FROM_GB):
+                for size_gb in (3.0, 12.0):
+                    workload = FROM_GB[name](size_gb)
+                    record = runner.run(workload, config, threads)
+                    estimate = model.estimate_record(workload, record)
+                    if record.run_result is None:
+                        assert estimate is None
+                        continue
+                    expected = reference_estimate(
+                        params, workload.profile(), record.run_result
+                    )
+                    assert (
+                        estimate.dynamic_memory_j,
+                        estimate.dynamic_compute_j,
+                        estimate.static_j,
+                    ) == expected
+                    assert estimate.total_j == sum(expected)
+                    priced += 1
+        assert priced > 0
+
+    @pytest.mark.parametrize("params", PARAMETER_SETS.values(), ids=PARAMETER_SETS)
+    def test_per_phase_mixes(self, params, flat_model):
+        prof = MemoryProfile(
+            "two-phase",
+            (
+                Phase(
+                    "a",
+                    AccessPattern.SEQUENTIAL,
+                    traffic_bytes=3.1 * GB,
+                    flops=7e8,
+                    footprint_bytes=int(2 * GB),
+                ),
+                Phase(
+                    "b",
+                    AccessPattern.RANDOM,
+                    traffic_bytes=1.7 * GB,
+                    flops=3e8,
+                    footprint_bytes=int(1 * GB),
+                ),
+            ),
+        )
+        mix = {
+            "a": PlacementMix.of(hbm=0.3, dram=0.7),
+            "b": PlacementMix(((Location.DRAM_CACHED, 1.0),)),
+        }
+        run = flat_model.evaluate(prof, PlacementMix.pure(Location.DRAM), 64)
+        estimate = EnergyModel(params).estimate(prof, run, mix)
+        assert (
+            estimate.dynamic_memory_j,
+            estimate.dynamic_compute_j,
+            estimate.static_j,
+        ) == reference_estimate(params, prof, run, mix)

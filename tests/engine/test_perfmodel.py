@@ -1,10 +1,12 @@
 """Performance model tests: the paper's hardware characterization must
 fall out of the engine."""
 
+import pickle
+
 import pytest
 
 from repro.engine.calibration import PAPER_CHARACTERIZATION as P
-from repro.engine.perfmodel import PerformanceModel
+from repro.engine.perfmodel import PerformanceModel, RunResult
 from repro.engine.placement import Location, PlacementMix
 from repro.engine.profilephase import AccessPattern, MemoryProfile, Phase
 from repro.util.units import GB, GiB
@@ -289,3 +291,28 @@ class TestColumnarTwins:
         ):
             with pytest.raises(ValueError):
                 model.sequential_bandwidth_many(loc, self.column(), 1)
+
+
+class TestRunTimeMemo:
+    """``RunResult.time_ns`` is computed once per result; the memo never
+    enters equality, hashing or the wire form."""
+
+    def test_memoized_total_is_the_phase_sum_and_stays_out_of_equality(
+        self, flat_model
+    ):
+        prof = MemoryProfile(
+            "two-phase",
+            (
+                Phase("a", AccessPattern.SEQUENTIAL, traffic_bytes=2 * GB),
+                Phase("b", AccessPattern.RANDOM, traffic_bytes=1 * GB),
+            ),
+        )
+        run = flat_model.evaluate(prof, PlacementMix.pure(Location.DRAM), 64)
+        fresh = RunResult(
+            run.workload, run.placement, run.num_threads, run.phase_results
+        )
+        assert run.time_ns == sum(p.time_ns for p in run.phase_results)
+        assert run.time_ns is run.time_ns  # served from the memo
+        assert run == fresh and hash(run) == hash(fresh)
+        assert pickle.loads(pickle.dumps(run)) == fresh
+        assert fresh.time_ns == run.time_ns

@@ -389,3 +389,41 @@ class TestConcurrentWriters:
             index = int(name.rsplit("-", 1)[1])
             assert entries == _slice("x", index)["slices"][f"x-{index}"]
         assert list(directory.glob("*.tmp")) == []
+
+
+class TestNoOpStores:
+    """A store whose slices the entry already holds rewrites nothing;
+    one that adds a slice still writes."""
+
+    def test_store_of_present_slices_leaves_the_file_untouched(self, tmp_path):
+        first = TableCache(tmp_path)
+        first.store("k", _slice("a", 0))
+        first.store("k", _slice("a", 1))
+        path = tmp_path / "tables-k.json"
+        # Age the file so a rewrite within the clock's granularity shows.
+        stat = path.stat()
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns - 10**9))
+        before = path.stat()
+
+        second = TableCache(tmp_path)
+        second.store("k", _slice("a", 0))
+        second.store("k", _slice("a", 1))
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (
+            before.st_ino,
+            before.st_mtime_ns,
+        )
+        assert second.stores == 0
+
+        second.store("k", _slice("a", 2))
+        grown = path.stat()
+        assert (grown.st_ino, grown.st_mtime_ns) != (
+            before.st_ino,
+            before.st_mtime_ns,
+        )
+        assert second.stores == 1
+        assert set(TableCache(tmp_path).load("k")["slices"]) == {
+            "a-0",
+            "a-1",
+            "a-2",
+        }

@@ -10,6 +10,8 @@ scalar ``repro.api`` evaluation — is asserted with full
 from __future__ import annotations
 
 import asyncio
+import sys
+import threading
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.api import (
     ValidationError,
 )
 from repro.api.types import SCHEMA_VERSION
+from repro.core.executor import RunCache
 from repro.serve.service import PredictionService, ServiceConfig
 
 
@@ -323,6 +326,98 @@ class TestMetricsSnapshot:
                 )
 
         run_service(scenario, config)
+
+
+def _worker_predictors(service, count):
+    """``count`` worker predictors, each made on its own thread as the
+    pool threads make theirs."""
+    made = []
+    for _ in range(count):
+        thread = threading.Thread(
+            target=lambda: made.append(service._worker_predictor())
+        )
+        thread.start()
+        thread.join(timeout=30.0)
+    return made
+
+
+class TestSharedRunCache:
+    def test_a_cell_evaluated_on_one_worker_is_a_hit_on_the_other(self):
+        service = PredictionService(ServiceConfig(workers=2))
+        first, second = _worker_predictors(service, 2)
+        assert first is not second
+        for machine in ("knl7210", "xeonmax9480"):
+            query = Query(
+                workload="gups", size_gb=4.0, config="HBM", machine=machine
+            )
+            assert first.predict(query) == second.predict(query)
+            assert (
+                first.executor(machine).cache is second.executor(machine).cache
+            )
+        stats = second.stats()
+        assert (stats.hits, stats.misses, stats.executed) == (2, 0, 0)
+        assert service.executor_stats()["executed"] == 2
+
+    def test_racing_workers_share_one_cache_and_answer_identically(self):
+        """More workers than cores, first uses racing on a short switch
+        interval: every worker adopts the same cache per preset, and the
+        cache ends up holding each distinct cell exactly once."""
+        queries = [
+            Query(workload=w, size_gb=s, config=c, machine=m, num_threads=16)
+            for w, s in (("gups", 2.0), ("minife", 3.0), ("xsbench", 2.5))
+            for c in ("DRAM", "HBM")
+            for m in ("knl7210", "xeonmax9480")
+        ]
+        expected = [Predictor().predict(q) for q in queries]
+        service = PredictionService(ServiceConfig(workers=6))
+        barrier = threading.Barrier(6)
+        answers, errors, predictors = [], [], []
+
+        def work(offset: int) -> None:
+            try:
+                barrier.wait(timeout=30.0)
+                predictor = service._worker_predictor()
+                predictors.append(predictor)
+                order = queries[offset:] + queries[:offset]
+                answers.append((offset, predictor.predict_many(order)))
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(n,)) for n in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for offset, results in answers:
+            assert results == expected[offset:] + expected[:offset]
+        for machine in ("knl7210", "xeonmax9480"):
+            caches = {id(p.executor(machine).cache) for p in predictors}
+            assert caches == {id(service._run_caches[machine])}
+            assert len(service._run_caches[machine]) == len(queries) // 2
+
+    def test_metrics_count_a_shared_caches_disk_hits_once(self, tmp_path):
+        query = QUERIES[0]
+        Predictor(cache_dir=tmp_path).predict(query)  # writes the entry
+        service = PredictionService(ServiceConfig(workers=2))
+        service._run_caches["knl7210"] = RunCache(cache_dir=tmp_path)
+        first, second = _worker_predictors(service, 2)
+        answers = [first.predict(query), second.predict(query)]
+        assert answers[0] == answers[1]
+        # One disk read, then an in-memory hit on the other worker; each
+        # predictor reports the shared cache's one disk hit.
+        assert first.stats().disk_hits == second.stats().disk_hits == 1
+        executor = service.executor_stats()
+        assert executor["disk_hits"] == 1
+        assert executor["hits"] == 2 and executor["executed"] == 0
 
 
 class TestServiceConfigValidation:
